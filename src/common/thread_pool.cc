@@ -45,8 +45,13 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(static_cast<int>(std::thread::hardware_concurrency()) - 1);
-  return pool;
+  // Never destroyed: a static pool's destructor would run after the main
+  // thread's thread_locals are gone, and its traced queue lock would then
+  // touch the freed held-lock stack (src/common/lock_registry.cc). The idle
+  // workers simply end with the process.
+  static ThreadPool* const pool =
+      new ThreadPool(static_cast<int>(std::thread::hardware_concurrency()) - 1);
+  return *pool;
 }
 
 int ThreadPool::ResolveThreadCount(int threads) {

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/lock_registry.h"
-#include "src/common/logging.h"
-#include "src/core/pipeline.h"
 #include "src/lang/bound.h"
 #include "src/lang/canon.h"
 #include "src/lang/lint.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
+#include "src/status/sampling.h"
 
 namespace cloudtalk {
 
@@ -56,6 +57,32 @@ std::unordered_map<std::string, std::string> ReverseMap(
   return map;
 }
 
+ShardedConfig OneShard(ServerConfig config) {
+  ShardedConfig one;
+  one.server = std::move(config);
+  one.shards = 1;
+  return one;
+}
+
+std::vector<std::unique_ptr<StatusShard>> MakeShards(int count, ProbeTransport* transport,
+                                                     Seconds reservation_hold) {
+  std::vector<std::unique_ptr<StatusShard>> shards;
+  shards.reserve(count);
+  for (int i = 0; i < count; ++i) {
+    shards.push_back(std::make_unique<StatusShard>(i, transport, reservation_hold));
+  }
+  return shards;
+}
+
+std::vector<StatusShard*> RawShardPtrs(const std::vector<std::unique_ptr<StatusShard>>& owned) {
+  std::vector<StatusShard*> raw;
+  raw.reserve(owned.size());
+  for (const auto& shard : owned) {
+    raw.push_back(shard.get());
+  }
+  return raw;
+}
+
 }  // namespace
 
 #if defined(CLOUDTALK_INVARIANTS) && CLOUDTALK_INVARIANTS
@@ -72,29 +99,39 @@ LockId RngLockId() {
 }  // namespace
 #endif
 
+CloudTalkServer::CloudTalkServer(ShardedConfig config, const Directory* directory,
+                                 ProbeTransport* transport, std::function<Seconds()> clock,
+                                 CompletionEstimator* packet_estimator)
+    : config_(std::move(config)),
+      directory_(directory),
+      clock_(std::move(clock)),
+      packet_estimator_(packet_estimator),
+      map_(config_.shards),
+      shards_(MakeShards(map_.shards(), transport, config_.server.reservation_hold)),
+      router_(&map_, RawShardPtrs(shards_)),
+      rng_(config_.server.seed),
+      admission_(config_.server.admission_slots) {
+  check::SetViolationPolicy(config_.server.invariant_policy);
+}
+
 CloudTalkServer::CloudTalkServer(ServerConfig config, const Directory* directory,
                                  ProbeTransport* transport, std::function<Seconds()> clock,
                                  CompletionEstimator* packet_estimator)
-    : config_(config),
-      directory_(directory),
-      transport_(transport),
-      clock_(std::move(clock)),
-      packet_estimator_(packet_estimator),
-      reservations_(config.reservation_hold),
-      rng_(config.seed),
-      admission_(config.admission_slots) {
-  check::SetViolationPolicy(config.invariant_policy);
-}
+    : CloudTalkServer(OneShard(std::move(config)), directory, transport, std::move(clock),
+                      packet_estimator) {}
 
 Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
   CT_OBS_INC("M100");
+  if (num_shards() > 1) {
+    CT_OBS_INC("M114");
+  }
   obs::TraceContext trace("answer");
   // Fast path: a spelling answered before skips the language front end
   // entirely — parse/lint/canon are pure functions of the bytes, so the
   // memoized certificate and warnings stand in for a re-run. The skeleton
   // spans are still emitted (near-zero duration) so hit traces keep the
   // guaranteed parse/lint/canon prefix.
-  if (config_.answer_cache) {
+  if (config_.server.answer_cache) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto memo_it = frontend_memo_.find(query_text);
     if (memo_it != frontend_memo_.end()) {
@@ -162,7 +199,7 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
     std::snprintf(hash_text, sizeof(hash_text), "%016llx",
                   static_cast<unsigned long long>(canon.value().hash));
     trace.Attr(canon_span, "hash", hash_text);
-    if (config_.answer_cache) {
+    if (config_.server.answer_cache) {
       // Memoize the front-end result for this exact spelling (pure in the
       // query bytes, so never invalidated; the cap bounds memory on
       // adversarial workloads that never repeat a spelling).
@@ -177,7 +214,7 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
       memo.warnings = sink.diagnostics();
       memo.effects = effects;
     }
-    if (config_.answer_cache && CacheableEffects(effects)) {
+    if (config_.server.answer_cache && CacheableEffects(effects)) {
       CT_OBS_INC("M110");
       std::lock_guard<std::mutex> lock(cache_mutex_);
       lookup_epoch = cache_epoch_;
@@ -236,17 +273,20 @@ Result<QueryReply> CloudTalkServer::Answer(const std::string& query_text) {
 bool CloudTalkServer::CacheableEffects(const lang::ScopeEffects& effects) const {
   // Sampled pools draw from the server RNG: two cold answers need not agree,
   // so a cached one cannot stand in for either.
-  if (effects.max_pool_size > config_.sample_threshold) {
+  if (effects.max_pool_size > config_.server.sample_threshold) {
     return false;
   }
   // Reservations are time-varying state the exhaustive path ignores but the
   // heuristic path both reads (the filter) and writes (the reserve effect).
-  if (config_.reservation_hold > 0 && !effects.uses_packet_engine) {
+  if (config_.server.reservation_hold > 0 && !effects.uses_packet_engine) {
     if (effects.reserves) {
-      return false;  // A cold answer would mutate the reservation table.
+      return false;  // A cold answer would mutate the reservation tables.
     }
-    if (reservations_.ActiveCount(clock_()) > 0) {
-      return false;  // The binding depends on when reservations expire.
+    const Seconds now = clock_();
+    for (const auto& shard : shards_) {
+      if (shard->reservations().ActiveCount(now) > 0) {
+        return false;  // The binding depends on when reservations expire.
+      }
     }
   }
   return true;
@@ -261,21 +301,343 @@ void CloudTalkServer::InvalidateAnswerCache() {
   }
 }
 
-Result<QueryReply> CloudTalkServer::AnswerParsed(const lang::Query& query) {
-  obs::TraceContext trace("answer");
-  Result<QueryReply> reply = AnswerTraced(query, trace);
-  if (reply.ok()) {
-    reply.value().trace = trace.Finish();
+StatusShard& CloudTalkServer::OwnerOf(const std::string& address) const {
+  const NodeId node = directory_->Resolve(address);
+  // Unresolvable addresses deterministically route to shard 0: ownership is
+  // total, so reservation lookups behave exactly like one flat table.
+  const int owner = node == kInvalidNode ? 0 : map_.ShardOf(node);
+  return *shards_[owner];
+}
+
+bool CloudTalkServer::IsReservedAnywhere(const std::string& address, Seconds now) const {
+  for (const auto& shard : shards_) {
+    if (shard->reservations().IsReserved(address, now)) {
+      return true;
+    }
   }
-  return reply;
+  return false;
 }
 
 StatusByAddress CloudTalkServer::GatherStatus(const lang::CompiledQuery& compiled,
                                               const lang::ScopeAnalysis* scope,
                                               std::vector<lang::VarComm>* sampled_vars,
                                               ProbeStats* stats, obs::TraceContext& trace) {
-  return GatherStatusOver(config_, *directory_, *transport_, rng_, rng_mutex_, compiled, scope,
-                          sampled_vars, stats, trace);
+  const ServerConfig& config = config_.server;
+  *sampled_vars = compiled.variables();
+
+  const int sample_span = trace.OpenFollowing("sample");
+  // Sampling (Section 4.3): shrink any pool larger than the threshold.
+  // Variables sharing one declaration share one pool; the sample must cover
+  // the d variables drawing from it, so size it with d = sharer count.
+  std::unordered_map<std::string, std::vector<int>> pool_groups;
+  for (size_t i = 0; i < sampled_vars->size(); ++i) {
+    std::string key;
+    for (const lang::Endpoint& e : (*sampled_vars)[i].pool) {
+      key += e.ToString();
+      key.push_back('|');
+    }
+    pool_groups[key].push_back(static_cast<int>(i));
+  }
+  int pools_sampled = 0;
+  {
+    std::lock_guard<std::mutex> rng_lock(rng_mutex_);
+    CT_LOCK_TRACE(RngLockId());
+    for (auto& [key, members] : pool_groups) {
+      (void)key;
+      const std::vector<lang::Endpoint>& pool = (*sampled_vars)[members.front()].pool;
+      const int pool_size = static_cast<int>(pool.size());
+      if (pool_size <= config.sample_threshold) {
+        continue;
+      }
+      const int d = static_cast<int>(members.size());
+      int n = config.sample_override > 0
+                  ? config.sample_override
+                  : RequiredSamples(d, config.idle_fraction_hint, config.sample_confidence);
+      n = std::min(n, pool_size);
+      const std::vector<int> picks = rng_.SampleWithoutReplacement(pool_size, n);
+      std::vector<lang::Endpoint> sampled;
+      sampled.reserve(picks.size());
+      for (int p : picks) {
+        sampled.push_back(pool[p]);
+      }
+      for (int member : members) {
+        (*sampled_vars)[member].pool = sampled;
+      }
+      ++pools_sampled;
+      CT_OBS_INC("M106");
+    }
+  }
+  trace.Attr(sample_span, "pools", static_cast<int64_t>(pool_groups.size()));
+  trace.Attr(sample_span, "sampled", static_cast<int64_t>(pools_sampled));
+  // The probe span opens as sampling closes (one shared clock reading) and
+  // covers address assembly, resolution, and the scatter-gather itself.
+  const int probe_span = trace.Transition(sample_span, "probe");
+
+  // Address set to probe: sampled pools plus literal flow endpoints, minus
+  // the hosts the footprint analysis proves no evaluation engine reads.
+  // Sampling above still ran over the full variable set so the RNG stream
+  // is identical with pruning on or off.
+  std::vector<std::string> addresses;
+  std::unordered_set<std::string> seen;
+  int64_t skipped = 0;
+  auto add = [&](const lang::Endpoint& e) {
+    if (e.kind != lang::Endpoint::Kind::kAddress || !seen.insert(e.name).second) {
+      return;
+    }
+    if (scope != nullptr && !scope->InFootprint(e.name)) {
+      ++skipped;
+      return;
+    }
+    addresses.push_back(e.name);
+  };
+  for (const lang::VarComm& var : *sampled_vars) {
+    for (const lang::Endpoint& e : var.pool) {
+      add(e);
+    }
+  }
+  for (const lang::CompiledFlow& flow : compiled.flows()) {
+    add(flow.src);
+    add(flow.dst);
+  }
+
+  // Resolve to hosts and probe. The router splits the targets by owning
+  // shard; with one shard it is a single scatter-gather.
+  std::vector<NodeId> targets;
+  std::unordered_map<NodeId, std::string> node_to_address;
+  for (const std::string& address : addresses) {
+    const NodeId node = directory_->Resolve(address);
+    if (node != kInvalidNode) {
+      targets.push_back(node);
+      node_to_address[node] = address;
+    }
+  }
+  ProbeOutcome outcome = router_.Probe(targets, config.probe_timeout);
+  stats->Accumulate(outcome.stats);
+  CT_OBS_OBSERVE("M103", static_cast<double>(targets.size()));
+
+  StatusByAddress status;
+  int missing = 0;
+  for (const NodeId node : targets) {
+    const std::string& address = node_to_address[node];
+    const auto it = outcome.reports.find(node);
+    const bool replied = it != outcome.reports.end();
+    // One child event per contacted host, in deterministic target order. The
+    // scatter-gather itself is batched, so the children record fan-out and
+    // per-host outcome rather than individual wall times. A replied host
+    // carries just its address; a missing reply is flagged with replied=0.
+    if (replied) {
+      trace.Event("probe.host", {{"host", address}});
+    } else {
+      trace.Event("probe.host", {{"host", address}, {"replied", "0"}});
+    }
+    if (replied) {
+      status[address] = it->second;
+    } else if (config.assume_loaded_on_missing) {
+      ++missing;
+      // "If nothing is received from a status server, we assume that a
+      // particular address is under heavy I/O load" (Section 4).
+      status[address] = StatusReport::AssumeLoaded(node, directory_->CapsOf(node));
+    } else {
+      ++missing;
+      status[address] = StatusReport::Idle(node, directory_->CapsOf(node));
+    }
+  }
+  if (skipped > 0) {
+    CT_OBS_ADD("M113", skipped);
+  }
+  trace.Attr(probe_span, "fanout", static_cast<int64_t>(targets.size()));
+  trace.Attr(probe_span, "replies",
+             static_cast<int64_t>(static_cast<int>(targets.size()) - missing));
+  trace.Attr(probe_span, "missing", static_cast<int64_t>(missing));
+  trace.Attr(probe_span, "skipped", skipped);
+  trace.Close(probe_span);
+  return status;
+}
+
+StatusByAddress CloudTalkServer::SynthesizeStaticStatus(
+    const std::vector<lang::VarComm>& variables, const lang::ScopeAnalysis* probe_scope,
+    obs::TraceContext& trace) const {
+  // Static evaluation: endpoints idle at their nominal capacities. The
+  // sample and probe spans still appear (every reply carries the full
+  // phase skeleton), recording that both phases were no-ops. The
+  // footprint filter applies here too: an inert variable's hosts get no
+  // synthetic idle status, matching what the engines can read.
+  StatusByAddress status;
+  {
+    obs::TraceContext::Scoped sample_span(&trace, "sample");
+    trace.Attr(sample_span.id(), "mode", "static");
+  }
+  obs::TraceContext::Scoped probe_span(&trace, "probe");
+  std::unordered_set<std::string> skipped_hosts;
+  for (const lang::VarComm& var : variables) {
+    for (const lang::Endpoint& e : var.pool) {
+      if (e.kind != lang::Endpoint::Kind::kAddress) {
+        continue;
+      }
+      if (probe_scope != nullptr && !probe_scope->InFootprint(e.name)) {
+        skipped_hosts.insert(e.name);
+        continue;
+      }
+      const NodeId node = directory_->Resolve(e.name);
+      if (node != kInvalidNode) {
+        status[e.name] = StatusReport::Idle(node, directory_->CapsOf(node));
+      }
+    }
+  }
+  const int64_t skipped = static_cast<int64_t>(skipped_hosts.size());
+  if (skipped > 0) {
+    CT_OBS_ADD("M113", skipped);
+  }
+  trace.Attr(probe_span.id(), "fanout", static_cast<int64_t>(0));
+  trace.Attr(probe_span.id(), "mode", "static");
+  trace.Attr(probe_span.id(), "skipped", skipped);
+  return status;
+}
+
+std::optional<Error> CloudTalkServer::CheckAdmissionBound(const lang::CompiledQuery& compiled,
+                                                          const StatusByAddress& status,
+                                                          double bound_fraction,
+                                                          obs::TraceContext& trace) const {
+  const int bound_span = trace.OpenFollowing("bound");
+  lang::BoundOptions bound_options;
+  bound_options.min_available_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+  bound_options.distinct = config_.server.heuristic.distinct_bindings;
+  const lang::BoundAnalysis bounds = lang::BoundAnalysis::Build(compiled, status, bound_options);
+  CT_OBS_INC("M108");
+  trace.Attr(bound_span, "model", static_cast<int64_t>(bound_fraction >= 0 ? 1 : 0));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().lb);
+  trace.Attr(bound_span, "lb", buf);
+  if (std::isfinite(bounds.query_bounds().ub)) {
+    std::snprintf(buf, sizeof(buf), "%.6g", bounds.query_bounds().ub);
+    trace.Attr(bound_span, "ub", buf);
+  }
+  if (bound_fraction >= 0) {
+    for (const lang::GroupBound& gb : bounds.group_bounds()) {
+      if (!gb.provably_infeasible) {
+        continue;
+      }
+      const lang::CompiledGroup& group = compiled.groups()[gb.group];
+      const std::string flow_name = group.flow_indices.empty()
+                                        ? std::string("?")
+                                        : compiled.flows()[group.flow_indices.front()].name;
+      char lb_text[32], deadline_text[32];
+      std::snprintf(lb_text, sizeof(lb_text), "%.6g", gb.interval.lb);
+      std::snprintf(deadline_text, sizeof(deadline_text), "%.6g", gb.deadline);
+      trace.Attr(bound_span, "infeasible_group", static_cast<int64_t>(gb.group));
+      trace.Close(bound_span);
+      CT_OBS_INC("M109");
+      return Error{"no binding can meet the deadline: chain group of flow '" + flow_name +
+                   "' needs at least " + lb_text + "s but must finish within " + deadline_text +
+                   "s"};
+    }
+  }
+  trace.Close(bound_span);
+  return std::nullopt;
+}
+
+Result<ExhaustiveResult> CloudTalkServer::RunExhaustiveSliced(const lang::Query& query,
+                                                              const lang::CompiledQuery& compiled,
+                                                              const StatusByAddress& status,
+                                                              double bound_fraction,
+                                                              obs::TraceContext& trace) {
+  CT_OBS_INC("M105");
+  ExhaustiveParams params;
+  params.distinct_bindings = config_.server.heuristic.distinct_bindings;
+  params.threads = query.options.eval_threads > 0 ? query.options.eval_threads
+                                                  : config_.server.eval_threads;
+  params.optimize =
+      query.options.optimize != 0 ? query.options.optimize > 0 : config_.server.optimize;
+  // Compute the static plan here (instead of inside the engine) so the
+  // bind span can report per-pass wall time and pruning attribution
+  // (PassStat) — and so every slice consumes the SAME plan: rank weights,
+  // orbit representatives, and domain pruning must agree across slices for
+  // the (makespan, winner_rank) merge to reproduce the unsliced walk.
+  lang::PrunedSpace plan;
+  if (params.optimize) {
+    lang::OptimizeParams opt_params;
+    opt_params.distinct = params.distinct_bindings && !query.options.allow_same_binding;
+    opt_params.bound_fraction = bound_fraction >= 0 ? bound_fraction : 0.1;
+    plan = lang::Optimize(compiled, status, opt_params);
+    params.plan = &plan;
+  }
+  const int bind_span = trace.OpenFollowing("bind");
+  trace.Attr(bind_span, "mode", "exhaustive");
+
+  // Search fan-out: engine slice s walks first-variable candidates
+  // ≡ s (mod shards).
+  params.slice_count = num_shards();
+  std::optional<ExhaustiveResult> best;
+  std::optional<Error> first_error;
+  for (int slice = 0; slice < params.slice_count; ++slice) {
+    params.slice_index = slice;
+    Result<ExhaustiveResult> result =
+        EvaluateExhaustive(compiled, status, *packet_estimator_, params);
+    if (!result.ok()) {
+      // Lowest-slice error wins (mirrors the engine's own first-worker
+      // error merge); an empty slice's kNoLegalBinding is outvoted by any
+      // slice that found a binding.
+      if (!first_error.has_value()) {
+        first_error = result.error();
+      }
+      continue;
+    }
+    if (!best.has_value()) {
+      best = std::move(result.value());
+      continue;
+    }
+    ExhaustiveResult& merged = *best;
+    const ExhaustiveResult& r = result.value();
+    // Walk counters accumulate; plan-derived ones (bindings_pruned,
+    // components) describe the shared plan and are kept from the first
+    // slice. threads_used sums to the total worker count across slices.
+    merged.counters.evaluations += r.counters.evaluations;
+    merged.counters.memo_hits += r.counters.memo_hits;
+    merged.counters.enumerated += r.counters.enumerated;
+    merged.counters.orbit_skips += r.counters.orbit_skips;
+    merged.counters.bound_prunes += r.counters.bound_prunes;
+    merged.counters.threads_used += r.counters.threads_used;
+    merged.counters.delta_rebinds += r.counters.delta_rebinds;
+    merged.counters.cold_rebinds += r.counters.cold_rebinds;
+    merged.counters.solver_recomputes += r.counters.solver_recomputes;
+    merged.counters.delta_component_hits += r.counters.delta_component_hits;
+    merged.counters.cold_component_solves += r.counters.cold_component_solves;
+    if (r.estimate.makespan < merged.estimate.makespan ||
+        (r.estimate.makespan == merged.estimate.makespan &&
+         r.winner_rank < merged.winner_rank)) {
+      merged.binding = r.binding;
+      merged.estimate = r.estimate;
+      merged.winner_rank = r.winner_rank;
+    }
+  }
+  if (!best.has_value()) {
+    trace.Close(bind_span);
+    if (first_error.has_value()) {
+      return *first_error;
+    }
+    return Error{"no legal binding exists (distinctness or requirements unsatisfiable?)"};
+  }
+  const SearchCounters& c = best->counters;
+  trace.Attr(bind_span, "evaluations", c.evaluations);
+  trace.Attr(bind_span, "memo_hits", c.memo_hits);
+  trace.Attr(bind_span, "enumerated", c.enumerated);
+  trace.Attr(bind_span, "pruned", c.bindings_pruned);
+  trace.Attr(bind_span, "orbit_skips", c.orbit_skips);
+  trace.Attr(bind_span, "bound_prunes", c.bound_prunes);
+  trace.Attr(bind_span, "threads", static_cast<int64_t>(c.threads_used));
+  trace.Attr(bind_span, "delta_rebinds", c.delta_rebinds);
+  trace.Attr(bind_span, "cold_rebinds", c.cold_rebinds);
+  trace.Attr(bind_span, "solver_recomputes", c.solver_recomputes);
+  // Per-pass attribution (exhaustive-only attrs: wall times vary run to
+  // run, and the stable-trace snapshots only pin the heuristic path).
+  if (params.plan != nullptr) {
+    for (const lang::PassStat& ps : params.plan->pass_stats) {
+      trace.Attr(bind_span, std::string("opt.") + ps.code + ".seconds", ps.wall_seconds);
+      trace.Attr(bind_span, std::string("opt.") + ps.code + ".pruned", ps.pruned_bindings);
+    }
+  }
+  trace.Close(bind_span);
+  return *best;
 }
 
 Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
@@ -299,12 +661,24 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     trace.Close(scope_span);
   }
 
+  // The `route` and `aggregate` spans exist only on a multi-shard server;
+  // elsewhere their ids are -1, which makes Attr and Close no-ops, so
+  // one-shard traces keep the flat phase skeleton.
+  const bool sharded = num_shards() > 1;
+
   // Concurrent admission (src/core/admission.h): hold a slot for the rest
   // of the evaluation. Queries with disjoint reservation footprints proceed
   // in parallel; conflicting ones queue here. With reservations disabled
-  // every pair commutes, so the gate is bypassed entirely.
+  // every pair commutes, so the gate is bypassed entirely. The `route` span
+  // records the routing decision, and its duration is dominated by any
+  // admission wait — the number a sharded deployment wants on a dashboard.
+  const int route_span = sharded ? trace.OpenFollowing("route") : -1;
+  trace.Attr(route_span, "shards", static_cast<int64_t>(num_shards()));
+  trace.Attr(route_span, "slots", static_cast<int64_t>(admission_.slots()));
   const uint64_t admission_ticket =
-      config_.reservation_hold > 0 ? admission_.Admit(scope) : 0;
+      config_.server.reservation_hold > 0 ? admission_.Admit(scope) : 0;
+  trace.Attr(route_span, "admitted", static_cast<int64_t>(admission_ticket != 0 ? 1 : 0));
+  trace.Close(route_span);
   struct AdmissionGuard {
     AdmissionGate* gate;
     uint64_t ticket;
@@ -318,15 +692,36 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   QueryReply reply;
   StatusByAddress status;
   std::vector<lang::VarComm> variables = compiled.value().variables();
-  const lang::ScopeAnalysis* probe_scope = config_.scope_probe_pruning ? &scope : nullptr;
+  const lang::ScopeAnalysis* probe_scope =
+      config_.server.scope_probe_pruning ? &scope : nullptr;
+  // Hierarchical aggregation: the gather stage probes through the
+  // ShardRouter, which probes each owning shard separately and rolls the
+  // reports up. One aggregate.shard event per contacted shard; the
+  // sample/probe spans inside keep their one-shard shape.
+  const int aggregate_span = sharded ? trace.OpenFollowing("aggregate") : -1;
   if (query.options.use_dynamic_load) {
     status = GatherStatus(compiled.value(), probe_scope, &variables, &reply.probe_stats, trace);
+    if (sharded) {
+      for (const ShardRouter::Batch& batch : ShardRouter::LastBatches()) {
+        const std::string shard_text = std::to_string(batch.shard);
+        const std::string fanout_text = std::to_string(batch.fanout);
+        const std::string replies_text = std::to_string(batch.replies);
+        trace.Event("aggregate.shard", {{"shard", shard_text},
+                                        {"fanout", fanout_text},
+                                        {"replies", replies_text}});
+      }
+      trace.Attr(aggregate_span, "batches",
+                 static_cast<int64_t>(ShardRouter::LastBatches().size()));
+    }
     std::lock_guard<std::mutex> lock(stats_mutex_);
     CT_LOCK_TRACE(StatsLockId());
     total_stats_.Accumulate(reply.probe_stats);
   } else {
-    status = SynthesizeStaticStatus(*directory_, variables, probe_scope, trace);
+    status = SynthesizeStaticStatus(variables, probe_scope, trace);
+    trace.Attr(aggregate_span, "batches", static_cast<int64_t>(0));
+    trace.Attr(aggregate_span, "mode", "static");
   }
+  trace.Close(aggregate_span);
 
   // Admission bound check (ISSUE 7): sound completion-time intervals over
   // the snapshot just gathered (src/lang/bound.h). When the evaluation's
@@ -340,12 +735,9 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
                                          : static_cast<CompletionEstimator*>(&flow_estimator_);
   const double bound_fraction =
       bound_model != nullptr ? bound_model->BoundAvailabilityFraction() : -1;
-  {
-    Error bound_error;
-    if (!CheckAdmissionBound(config_, compiled.value(), status, bound_fraction, trace,
-                             &bound_error)) {
-      return bound_error;
-    }
+  if (std::optional<Error> rejection =
+          CheckAdmissionBound(compiled.value(), status, bound_fraction, trace)) {
+    return *rejection;
   }
 
   if (query.options.use_packet_simulator) {
@@ -353,8 +745,7 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
       return Error{"query requests packet-level evaluation, but no packet estimator is wired"};
     }
     Result<ExhaustiveResult> best =
-        RunExhaustiveSliced(config_, query, compiled.value(), status, *packet_estimator_,
-                            bound_fraction, /*slice_count=*/1, trace);
+        RunExhaustiveSliced(query, compiled.value(), status, bound_fraction, trace);
     if (!best.ok()) {
       return best.error();
     }
@@ -362,24 +753,28 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
     reply.estimate = best.value().estimate;
     reply.used_exhaustive = true;
     reply.counters = best.value().counters;
-    // Exhaustive answers skip the reservation table, but the phase skeleton
-    // stays complete so every trace carries a reserve span.
+    // Exhaustive answers skip the reservation tables, but the phase
+    // skeleton stays complete so every trace carries a reserve span.
     obs::TraceContext::Scoped reserve_span(&trace, "reserve");
     trace.Attr(reserve_span.id(), "reserved", static_cast<int64_t>(0));
     return reply;
   }
 
+  // Heuristic path, on the merged status. The reservation filter consults
+  // each address's owning shard — the per-shard tables partition one flat
+  // table by owner (I410), so the union the filter sees is the same for
+  // every shard count.
   const Seconds now = clock_();
   ReservationFilter filter = nullptr;
-  if (config_.reservation_hold > 0) {
+  if (config_.server.reservation_hold > 0) {
     filter = [this, now](const std::string& address) {
-      return reservations_.IsReserved(address, now);
+      return OwnerOf(address).reservations().IsReserved(address, now);
     };
   }
   const int bind_span = trace.OpenFollowing("bind");
   trace.Attr(bind_span, "mode", "heuristic");
   Result<HeuristicResult> heuristic = EvaluateHeuristic(
-      variables, query.options.allow_same_binding, status, config_.heuristic, filter);
+      variables, query.options.allow_same_binding, status, config_.server.heuristic, filter);
   if (!heuristic.ok()) {
     trace.Close(bind_span);
     return heuristic.error();
@@ -390,13 +785,46 @@ Result<QueryReply> CloudTalkServer::AnswerTraced(const lang::Query& query,
   const int reserve_span = trace.Transition(bind_span, "reserve");
   int64_t reserved = 0;
   if (query.options.reserve) {
+    // Two-phase reserve. Phase 1 leases every bound endpoint from its
+    // owning shard; Prepare never blocks, so ordering is free of deadlock.
+    // Phase 2 commits them all with ONE shared timestamp — the resulting
+    // expiries match a single-table Reserve at `reserve_now` exactly. Any
+    // shard that fails to answer aborts the whole set: the binding is still
+    // returned (reservations are best-effort, paper Section 5.5) but no
+    // host stays half-held.
     const Seconds reserve_now = clock_();
+    struct Pending {
+      StatusShard* shard = nullptr;
+      uint64_t lease = 0;
+    };
+    std::vector<Pending> pending;
+    pending.reserve(reply.binding.size());
+    bool aborted = false;
     for (const auto& [var, endpoint] : reply.binding) {
       (void)var;
-      reservations_.Reserve(endpoint.name, reserve_now);
-      ++reserved;
+      StatusShard& owner = OwnerOf(endpoint.name);
+      CT_OBS_INC("M117");
+      const uint64_t lease = owner.Prepare(endpoint.name, reserve_now, config_.prepare_lease);
+      if (lease == 0) {
+        aborted = true;
+        break;
+      }
+      pending.push_back(Pending{&owner, lease});
     }
-    CT_OBS_ADD("M104", reserved);
+    if (aborted) {
+      for (const Pending& p : pending) {
+        p.shard->reservations().Abort(p.lease);
+      }
+      CT_OBS_INC("M118");
+      trace.Attr(reserve_span, "aborted", static_cast<int64_t>(1));
+    } else {
+      for (const Pending& p : pending) {
+        if (p.shard->reservations().Commit(p.lease, reserve_now)) {
+          ++reserved;
+        }
+      }
+      CT_OBS_ADD("M104", reserved);
+    }
   }
   trace.Attr(reserve_span, "reserved", reserved);
   trace.Close(reserve_span);
@@ -418,7 +846,7 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   obs::TraceContext quote_trace("quote");
   const lang::ScopeAnalysis scope = lang::AnalyzeScope(compiled.value());
   StatusByAddress status =
-      GatherStatus(compiled.value(), config_.scope_probe_pruning ? &scope : nullptr,
+      GatherStatus(compiled.value(), config_.server.scope_probe_pruning ? &scope : nullptr,
                    &variables, &stats, quote_trace);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -429,11 +857,11 @@ Result<QuoteReply> CloudTalkServer::Quote(const std::string& query_text) {
   // not run. Existing reservations are still avoided.
   const Seconds now = clock_();
   ReservationFilter filter = [this, now](const std::string& address) {
-    return reservations_.IsReserved(address, now);
+    return OwnerOf(address).reservations().IsReserved(address, now);
   };
   Result<HeuristicResult> heuristic =
       EvaluateHeuristic(variables, query.value().options.allow_same_binding, status,
-                        config_.heuristic, filter);
+                        config_.server.heuristic, filter);
   if (!heuristic.ok()) {
     return heuristic.error();
   }

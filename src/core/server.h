@@ -11,18 +11,23 @@
 //      packet-level when the query says so), honouring pseudo-reservations.
 //   5. Reserve the recommended endpoints for the hold time.
 //
+// There is one answer pipeline. Host-side state lives on the shard plane
+// (src/core/shard.h): every server probes through a ShardRouter and
+// reserves by two-phase prepare/commit on the owning StatusShard. A server
+// built from a ServerConfig is the one-shard case; a ShardedConfig picks
+// the shard count, and the shard count changes only observability (D505).
+//
 // The server is thread-safe: concurrent queries synchronize on the
-// reservation table per assignment, matching the paper's description.
+// reservation tables per assignment, matching the paper's description.
 #ifndef CLOUDTALK_SRC_CORE_SERVER_H_
 #define CLOUDTALK_SRC_CORE_SERVER_H_
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/check/check.h"
@@ -35,9 +40,9 @@
 #include "src/core/exhaustive.h"
 #include "src/core/heuristic.h"
 #include "src/core/reservations.h"
+#include "src/core/shard.h"
 #include "src/lang/analysis.h"
 #include "src/lang/scope.h"
-#include "src/status/sampling.h"
 #include "src/status/transport.h"
 
 namespace cloudtalk {
@@ -144,11 +149,28 @@ struct QuoteReply {
   bool deadline_met = true;
 };
 
+struct ShardedConfig {
+  // The per-query pipeline configuration, shared verbatim with the
+  // one-shard reference (same seed ⇒ same sampling RNG stream).
+  ServerConfig server;
+  int shards = 4;
+  // Two-phase reserve: how long a prepared-but-uncommitted lease holds its
+  // endpoint before expiring on its own. Long enough to cover the
+  // prepare→commit window, short enough that a crashed front end frees its
+  // hosts quickly.
+  Seconds prepare_lease = 50 * kMillisecond;
+};
+
 class CloudTalkServer {
  public:
-  // `directory` and `transport` must outlive the server. `clock` supplies
-  // "now" for reservations (simulated or wall time). `packet_estimator` may
-  // be null; queries with `option packet` then fail.
+  // `directory` and `transport` must outlive the server; every shard probes
+  // through the one `transport` (the simulated wire or real sockets).
+  // `clock` supplies "now" for reservations (simulated or wall time).
+  // `packet_estimator` may be null; queries with `option packet` then fail.
+  CloudTalkServer(ShardedConfig config, const Directory* directory, ProbeTransport* transport,
+                  std::function<Seconds()> clock,
+                  CompletionEstimator* packet_estimator = nullptr);
+  // The one-shard server.
   CloudTalkServer(ServerConfig config, const Directory* directory, ProbeTransport* transport,
                   std::function<Seconds()> clock,
                   CompletionEstimator* packet_estimator = nullptr);
@@ -158,10 +180,9 @@ class CloudTalkServer {
   // with the first diagnostic's position and rule code; warning-only
   // queries are answered and the warnings returned in QueryReply::warnings.
   // The paper's 0.45 ms figure splits into parse (0.32 ms) and evaluation
-  // (0.13 ms); callers wanting that split can use lang::Parse +
-  // AnswerParsed directly (which skips lint).
+  // (0.13 ms); the reply trace carries the same split per phase (`parse`
+  // against the spans after it; `ctstat` renders it).
   Result<QueryReply> Answer(const std::string& query_text);
-  Result<QueryReply> AnswerParsed(const lang::Query& query);
 
   // Prices the described workload without reserving anything: the query is
   // bound as usual, its completion time estimated with the flow-level
@@ -171,7 +192,7 @@ class CloudTalkServer {
   void set_pricing(const PricingModel& pricing) { pricing_ = pricing; }
   const PricingModel& pricing() const { return pricing_; }
 
-  // Accumulated probe traffic (Section 5.5 overhead accounting).
+  // Accumulated probe traffic across all shards (Section 5.5 accounting).
   ProbeStats total_probe_stats() const;
 
   // Drops every cached answer (M112 counts the events that discarded
@@ -179,25 +200,65 @@ class CloudTalkServer {
   // changes; cheap when the cache is empty or disabled.
   void InvalidateAnswerCache();
 
-  const ServerConfig& config() const { return config_; }
-  ReservationTable& reservations() { return reservations_; }
+  const ServerConfig& config() const { return config_.server; }
+  int num_shards() const { return map_.shards(); }
+  StatusShard& shard(int index) { return *shards_[index]; }
+  const ShardMap& shard_map() const { return map_; }
+  // Shard 0's reservation table: the whole table of a one-shard server.
+  ReservationTable& reservations() { return shards_.front()->reservations(); }
+
+  // True when any shard holds a reservation or live lease on `address`
+  // (test hook for the I410 no-double-reserve property).
+  bool IsReservedAnywhere(const std::string& address, Seconds now) const;
 
  private:
-  // The shared evaluation pipeline behind Answer/AnswerParsed: compile,
-  // gather status, bind, reserve — recording one span per phase in `trace`.
+  // The evaluation pipeline behind Answer: compile, scope, admit, gather
+  // status, bound, bind, reserve — recording one span per phase in `trace`.
   Result<QueryReply> AnswerTraced(const lang::Query& query, obs::TraceContext& trace);
 
-  // Gathers status for the addresses the query can touch (delegates to
-  // GatherStatusOver in src/core/pipeline.h, the stage shared with the
-  // sharded front end). Applies sampling, then drops addresses outside
-  // `scope`'s footprint (pass nullptr to probe everything — the pruning
-  // ablation and `ctcheck --diff-scope` baseline). Records the `sample` and
-  // `probe` spans (one `probe.host` child per contacted target, M113
-  // counting the skipped ones) in `trace`.
+  // Samples oversized pools in place in `*sampled_vars`, assembles and
+  // resolves the address set, and probes it through the shard router.
+  // Drops addresses outside `scope`'s footprint (nullptr probes everything
+  // — the pruning ablation and `ctcheck --diff-scope` baseline). Records
+  // the `sample` and `probe` spans (one `probe.host` child per contacted
+  // target, M113 counting the skipped ones) in `trace`.
   StatusByAddress GatherStatus(const lang::CompiledQuery& compiled,
                                const lang::ScopeAnalysis* scope,
                                std::vector<lang::VarComm>* sampled_vars, ProbeStats* stats,
                                obs::TraceContext& trace);
+
+  // The `option static` path: every in-footprint pool host idle at nominal
+  // capacity, no probing. Emits the sample/probe spans with mode=static so
+  // the phase skeleton stays complete.
+  StatusByAddress SynthesizeStaticStatus(const std::vector<lang::VarComm>& variables,
+                                         const lang::ScopeAnalysis* probe_scope,
+                                         obs::TraceContext& trace) const;
+
+  // Admission bound check (src/lang/bound.h): when the estimator vouches
+  // for the bound model (`bound_fraction` ≥ 0), a chain group whose sound
+  // lower bound exceeds its deadline rejects the query before any search.
+  // Returns the rejection, if any. Emits the `bound` span and counts
+  // M108/M109.
+  std::optional<Error> CheckAdmissionBound(const lang::CompiledQuery& compiled,
+                                           const StatusByAddress& status,
+                                           double bound_fraction,
+                                           obs::TraceContext& trace) const;
+
+  // The exhaustive/packet search behind `option packet` queries: computes
+  // the optimisation plan once, runs one engine slice per shard through the
+  // packet estimator (sequentially — each slice parallelizes internally
+  // per eval_threads), and merges by (makespan, winner_rank), which is the
+  // unsliced winner byte for byte. Walk counters are summed across slices;
+  // plan-derived counters are taken once. Emits the `bind` span with the
+  // search and per-pass attributes and counts M105.
+  Result<ExhaustiveResult> RunExhaustiveSliced(const lang::Query& query,
+                                               const lang::CompiledQuery& compiled,
+                                               const StatusByAddress& status,
+                                               double bound_fraction, obs::TraceContext& trace);
+
+  // The shard owning `address` per the directory + ShardMap. Unresolvable
+  // addresses route to shard 0 so ownership stays total and deterministic.
+  StatusShard& OwnerOf(const std::string& address) const;
 
   // True when the query's answer is a pure function of (canonical text,
   // status snapshot) under the current configuration, so a cached reply is
@@ -208,14 +269,16 @@ class CloudTalkServer {
   // lookup.
   bool CacheableEffects(const lang::ScopeEffects& effects) const;
 
-  ServerConfig config_;
+  ShardedConfig config_;
   const Directory* directory_;
-  ProbeTransport* transport_;
   std::function<Seconds()> clock_;
   CompletionEstimator* packet_estimator_;
   FlowLevelEstimator flow_estimator_;
   PricingModel pricing_;
-  ReservationTable reservations_;
+  ShardMap map_;
+  std::vector<std::unique_ptr<StatusShard>> shards_;
+  // The only status plane: every probe is routed through it.
+  ShardRouter router_;
   mutable std::mutex stats_mutex_;
   ProbeStats total_stats_;
   std::mutex rng_mutex_;
@@ -251,6 +314,10 @@ class CloudTalkServer {
   // slot for the whole evaluation when reservations are enabled.
   AdmissionGate admission_;
 };
+
+// The multi-shard deployment is the same class; the name stays for the
+// callers that construct it from a ShardedConfig.
+using ShardedServer = CloudTalkServer;
 
 }  // namespace cloudtalk
 

@@ -74,6 +74,10 @@ class CompiledQuery {
   // with source spans. Returns nullopt when any error was recorded.
   static std::optional<CompiledQuery> Compile(const Query& query, DiagnosticSink* sink);
 
+  // The IR points into its Query, so compiling a temporary would dangle.
+  static Result<CompiledQuery> Compile(Query&& query) = delete;
+  static std::optional<CompiledQuery> Compile(Query&& query, DiagnosticSink* sink) = delete;
+
   const Query& query() const { return *query_; }
   const std::vector<CompiledFlow>& flows() const { return flows_; }
   const std::vector<CompiledGroup>& groups() const { return groups_; }

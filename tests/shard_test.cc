@@ -2,8 +2,9 @@
 // ShardMap partition, two-phase cross-shard reservations (prepare / commit
 // / abort leases, I411), the I410 no-double-reserve property, unresponsive-
 // shard abort, the N-slot admission gate's any-slot wakeup, merge
-// determinism against the single server over every good fixture, and a
-// concurrent admission stress run (the TSan CI job builds this binary).
+// determinism against the one-shard server over every good fixture, the
+// answer cache and Quote() on a multi-shard server, and a concurrent
+// admission stress run (the TSan CI job builds this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,10 +20,12 @@
 #include "src/check/check.h"
 #include "src/core/admission.h"
 #include "src/core/reservations.h"
+#include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/harness/cluster.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
+#include "src/obs/metrics.h"
 #include "src/topology/topology.h"
 
 namespace cloudtalk {
@@ -334,6 +337,88 @@ TEST(ShardedServerTest, RouteAndAggregateSpansAppearInTraces) {
   }
   EXPECT_TRUE(saw_route);
   EXPECT_TRUE(saw_aggregate);
+
+  // A one-shard server is the flat server: neither span appears, so its
+  // traces keep the flat phase skeleton.
+  ShardedServer single(ShardConfigFor(&cluster, 1), &cluster.directory(), &cluster.transport(),
+                       [&cluster] { return cluster.now(); });
+  const Result<QueryReply> flat = single.Answer(query);
+  ASSERT_TRUE(flat.ok()) << flat.error().ToString();
+  for (const auto& span : flat.value().trace.spans) {
+    EXPECT_NE(span.name(), "route");
+    EXPECT_NE(span.name(), "aggregate");
+    EXPECT_NE(span.name(), "aggregate.shard");
+  }
+}
+
+// ---- One pipeline: the answer cache and Quote() work at any shard count ----
+
+int64_t CanonHits() { return obs::Registry::Instance().counter("M111")->value(); }
+
+TEST(ShardedServerTest, AnswerCacheServesRespelledRepeat) {
+  const std::string original = "A = (10.0.0.1 10.0.0.2)\nf1 A -> 10.0.0.9 size 2*128M\n"
+                               "f2 10.0.0.3 -> 10.0.0.4 size 1M\n";
+  // The same query renamed, reordered, and with the size pre-folded.
+  const std::string respelled = "Pool = (10.0.0.1 10.0.0.2)\ncopy 10.0.0.3 -> 10.0.0.4 size 1M\n"
+                                "write Pool -> 10.0.0.9 size 256M\n";
+  // Cold reference: a cache-less 4-shard server on an identical twin.
+  Cluster oracle_cluster = MakeShardCluster(16, /*seed=*/19, /*hold=*/0);
+  AddShardLoad(&oracle_cluster);
+  ShardedServer oracle(ShardConfigFor(&oracle_cluster, 4), &oracle_cluster.directory(),
+                       &oracle_cluster.transport(),
+                       [&oracle_cluster] { return oracle_cluster.now(); });
+  const std::string cold = ReplyDigest(oracle.Answer(respelled));
+
+  Cluster cluster = MakeShardCluster(16, /*seed=*/19, /*hold=*/0);
+  AddShardLoad(&cluster);
+  ShardedConfig config = ShardConfigFor(&cluster, 4);
+  config.server.answer_cache = true;
+  ShardedServer sharded(config, &cluster.directory(), &cluster.transport(),
+                        [&cluster] { return cluster.now(); });
+  ASSERT_TRUE(sharded.Answer(original).ok());
+  const int cold_probes = sharded.total_probe_stats().requests_sent;
+  ASSERT_GT(cold_probes, 0);
+
+  const int64_t hits_before = CanonHits();
+  const Result<QueryReply> hit = sharded.Answer(respelled);
+  EXPECT_EQ(ReplyDigest(hit), cold);
+  // Served from the cache: no probe went out.
+  EXPECT_EQ(sharded.total_probe_stats().requests_sent, cold_probes);
+  if (obs::kObsEnabled && obs::RuntimeEnabled()) {
+    EXPECT_EQ(CanonHits(), hits_before + 1);
+  }
+
+  // Invalidation forces a miss that re-probes and re-derives the same reply.
+  sharded.InvalidateAnswerCache();
+  const int64_t hits_after = CanonHits();
+  EXPECT_EQ(ReplyDigest(sharded.Answer(respelled)), cold);
+  EXPECT_EQ(CanonHits(), hits_after);
+  EXPECT_EQ(sharded.total_probe_stats().requests_sent, 2 * cold_probes);
+}
+
+TEST(ShardedServerTest, QuoteMatchesTheFlatServer) {
+  const std::string query = "A = (10.0.0.1 10.0.0.2 10.0.0.5)\nf1 A -> 10.0.0.9 size 1G end 20\n";
+  Cluster flat_cluster = MakeShardCluster(16, /*seed=*/23, /*hold=*/0.3);
+  AddShardLoad(&flat_cluster);
+  const Result<QuoteReply> want = flat_cluster.cloudtalk().Quote(query);
+  ASSERT_TRUE(want.ok()) << want.error().ToString();
+
+  Cluster cluster = MakeShardCluster(16, /*seed=*/23, /*hold=*/0.3);
+  AddShardLoad(&cluster);
+  ShardedServer sharded(ShardConfigFor(&cluster, 4), &cluster.directory(),
+                        &cluster.transport(), [&cluster] { return cluster.now(); });
+  const Result<QuoteReply> got = sharded.Quote(query);
+  ASSERT_TRUE(got.ok()) << got.error().ToString();
+  EXPECT_EQ(got.value().binding.at("A").name, want.value().binding.at("A").name);
+  EXPECT_EQ(got.value().estimate.makespan, want.value().estimate.makespan);
+  EXPECT_EQ(got.value().bytes_moved, want.value().bytes_moved);
+  EXPECT_EQ(got.value().endpoints, want.value().endpoints);
+  EXPECT_EQ(got.value().price, want.value().price);
+  EXPECT_EQ(got.value().has_deadline, want.value().has_deadline);
+  EXPECT_EQ(got.value().deadline, want.value().deadline);
+  EXPECT_EQ(got.value().deadline_met, want.value().deadline_met);
+  EXPECT_EQ(sharded.total_probe_stats().requests_sent,
+            flat_cluster.cloudtalk().total_probe_stats().requests_sent);
 }
 
 // ---- N-slot admission gate (src/core/admission.h) ----

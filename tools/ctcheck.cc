@@ -46,6 +46,7 @@
 #include "src/common/rng.h"
 #include "src/core/exhaustive.h"
 #include "src/core/packet_estimator.h"
+#include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/lang/bound.h"
 #include "src/lang/canon.h"
@@ -1298,20 +1299,24 @@ int RunDiffScopeMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
 
 // ---- --diff-shard: differential fuzz of the sharded deployment ----
 //
-// Three oracles per seed (D505), each comparing a ShardedServer against the
-// single CloudTalkServer on identically seeded twin clusters (same topology,
-// same background load, same server seed — so the sampling RNG streams and
-// the simulated status plane line up exactly):
+// Three oracles per seed (D505), each comparing a multi-shard server
+// against the reference configuration — the one-shard CloudTalkServer the
+// cluster builds from its ServerConfig — on identically seeded twin
+// clusters (same topology, same background load, same server seed — so
+// the sampling RNG streams and the simulated status plane line up exactly).
+// Both sides run the same answer pipeline, so what the oracles exercise is
+// the shard plane: the router's split and merge, per-shard search slices
+// and per-shard reservation tables.
 //  1. sequential identity: three generated queries are answered in sequence
 //     over 1, 2, and 4 shards with reservations armed; every reply must be
 //     byte-identical, which also proves the partitioned reservation tables
-//     (two-phase prepare/commit) behave like the flat one.
+//     (two-phase prepare/commit) behave like one table.
 //  2. slice merge: a packet-level query must pick the same winner when the
 //     exhaustive candidate walk is split into per-shard slices and merged
 //     by (makespan, odometer rank).
 //  3. concurrent admission: two queries over disjoint host slices answered
-//     concurrently through the 4-shard front end's N-slot gate must match
-//     the single server answering them in sequence.
+//     concurrently through the 4-shard server's N-slot gate must match the
+//     one-shard reference answering them in sequence.
 
 ShardedConfig DiffShardConfig(Cluster* cluster, int shards) {
   ShardedConfig cfg;
@@ -1346,7 +1351,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string got = DiffScopeReplyDigest(sharded.Answer(queries[i]));
       if (got != oracle[i]) {
-        return "sharded reply diverges from single server (" + std::to_string(shards) +
+        return "sharded reply diverges from the one-shard reference (" + std::to_string(shards) +
                " shard(s), query " + std::to_string(i + 1) + " of 3): [" + got + "] vs [" +
                oracle[i] + "]";
       }
@@ -1384,7 +1389,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   }
   // Oracle 3: concurrent admission through the N-slot gate. The two queries
   // draw from disjoint host slices, so the sharded server may evaluate them
-  // in parallel — the replies must still match the sequential single-server
+  // in parallel — the replies must still match the sequential one-shard
   // answers.
   const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kDiffScopeHosts / 2 - 1);
   const std::string right =
@@ -1406,7 +1411,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   right_thread.join();
   if (left_got != left_want || right_got != right_want) {
     *query_text = left + "# --- disjoint peer, admitted concurrently ---\n" + right;
-    return "concurrently admitted replies diverge from sequential single server: [" +
+    return "concurrently admitted replies diverge from the sequential one-shard reference: [" +
            left_got + "] vs [" + left_want + "], [" + right_got + "] vs [" + right_want + "]";
   }
   return "";
@@ -1481,11 +1486,11 @@ void PrintUsage(FILE* out) {
                "the computed footprint must answer exactly like probing everything, and\n"
                "queries with disjoint reservation footprints must commute; any\n"
                "divergence is a D504 violation and the query is saved.\n"
-               "With --diff-shard, fuzzes the sharded deployment: a ShardedServer over\n"
-               "1, 2, and 4 shards — hierarchical probe aggregation, per-shard search\n"
-               "slices, two-phase cross-shard reservations, concurrent N-slot admission\n"
-               "— must answer byte-identically to the single server; any divergence is\n"
-               "a D505 violation and the query is saved.\n"
+               "With --diff-shard, fuzzes the sharded deployment: a server over 1, 2,\n"
+               "and 4 shards — hierarchical probe aggregation, per-shard search slices,\n"
+               "two-phase cross-shard reservations, concurrent N-slot admission — must\n"
+               "answer byte-identically to the one-shard reference configuration; any\n"
+               "divergence is a D505 violation and the query is saved.\n"
                "Exits 0 when every scenario is clean, 1 on violations, 2 on usage errors.\n");
 }
 
