@@ -28,6 +28,7 @@
 #include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/harness/cluster.h"
+#include "src/harness/differential.h"
 #include "src/obs/metrics.h"
 #include "src/topology/topology.h"
 
@@ -91,27 +92,6 @@ std::string GenerateQuery(Cluster* cluster, uint64_t seed, int lo, int hi) {
     q << "f2 A -> disk size " << rng.UniformInt(1, 32) << "M\n";
   }
   return q.str();
-}
-
-std::string ReplyDigest(const Result<QueryReply>& reply) {
-  if (!reply.ok()) {
-    return "error: " + reply.error().message;
-  }
-  std::ostringstream out;
-  out << "binding [";
-  for (const auto& [var, endpoint] : reply.value().binding) {
-    out << var << "=" << endpoint.name << " ";
-  }
-  out << "] scores [";
-  for (const auto& [name, score] : reply.value().scores) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s=%.17g ", name.c_str(), score);
-    out << buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", reply.value().estimate.makespan);
-  out << "] makespan " << buf;
-  return out.str();
 }
 
 int IdentityPhase() {

@@ -23,6 +23,7 @@
 #include "src/core/server.h"
 #include "src/core/shard.h"
 #include "src/harness/cluster.h"
+#include "src/harness/differential.h"
 #include "src/lang/parser.h"
 #include "src/lang/scope.h"
 #include "src/obs/metrics.h"
@@ -223,29 +224,6 @@ TEST(ShardedServerTest, UnresponsiveShardStatusFallsBackToAssumeLoaded) {
 }
 
 // ---- Merge determinism: byte-identical to the single server ----
-
-// Everything an answer exposes, rendered bit-faithfully. Probe stats,
-// counters, and traces legitimately differ between deployments.
-std::string ReplyDigest(const Result<QueryReply>& reply) {
-  if (!reply.ok()) {
-    return "error: " + reply.error().message;
-  }
-  std::ostringstream out;
-  out << "binding [";
-  for (const auto& [var, endpoint] : reply.value().binding) {
-    out << var << "=" << endpoint.name << " ";
-  }
-  out << "] scores [";
-  for (const auto& [name, score] : reply.value().scores) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s=%.17g ", name.c_str(), score);
-    out << buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", reply.value().estimate.makespan);
-  out << "] makespan " << buf;
-  return out.str();
-}
 
 std::vector<std::filesystem::path> GoodFixtures() {
   std::vector<std::filesystem::path> fixtures;

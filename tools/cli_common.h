@@ -3,11 +3,13 @@
 // Every tool takes a list of query files (with "-" meaning stdin), reads
 // them with the same error handling, and folds per-input exit codes
 // together by maximum. That loop was copy-pasted across ctlint, ctopt,
-// ctbound, ctstat and ctcanon; it lives here once.
+// ctbound, ctstat and ctcanon; it lives here once, next to the JSON string
+// escaping ctcanon and ctscope share.
 #ifndef CLOUDTALK_TOOLS_CLI_COMMON_H_
 #define CLOUDTALK_TOOLS_CLI_COMMON_H_
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -58,6 +60,37 @@ inline int ForEachInput(const std::string& tool, const std::vector<std::string>&
     exit_code = std::max(exit_code, handler(source, display_name));
   }
   return exit_code;
+}
+
+// Escapes `text` for use inside a JSON string literal.
+inline std::string EscapeJson(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace cli

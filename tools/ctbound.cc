@@ -6,8 +6,9 @@
 // E080/W080/W081 rules, the server's admission fast path, and the
 // exhaustive engine's O500 branch-and-bound pruning are built on. Unless
 // told otherwise it then *executes* the search twice — O500 off and on —
-// and verifies the byte-identity contract: same winning binding,
-// bit-identical estimate, and a winner makespan inside the query interval.
+// and verifies the byte-identity contract: same result digest
+// (src/harness/differential.h) and a winner makespan inside the query
+// interval.
 //
 //   ctbound query.ct             bound breakdown + identity check
 //   ctbound --report query.ct    bound breakdown only (no execution)
@@ -17,17 +18,16 @@
 //
 // Exit code: 0 = ok, 1 = identity or soundness check failed (the bound
 // analysis is unsound — file a bug), 2 = unusable input or usage error.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/exhaustive.h"
+#include "src/harness/differential.h"
 #include "src/lang/bound.h"
 #include "src/lang/diagnostics.h"
 #include "src/lang/opt.h"
@@ -39,16 +39,13 @@ namespace {
 using cloudtalk::ExhaustiveParams;
 using cloudtalk::ExhaustiveResult;
 using cloudtalk::FlowLevelEstimator;
-using cloudtalk::NodeId;
 using cloudtalk::Result;
 using cloudtalk::StatusByAddress;
-using cloudtalk::StatusReport;
 using cloudtalk::lang::BoundAnalysis;
 using cloudtalk::lang::BoundInterval;
 using cloudtalk::lang::BoundOptions;
 using cloudtalk::lang::CompiledQuery;
 using cloudtalk::lang::DiagnosticSink;
-using cloudtalk::lang::Endpoint;
 using cloudtalk::lang::GroupBound;
 using cloudtalk::lang::Query;
 
@@ -80,34 +77,6 @@ void PrintUsage(std::ostream& os) {
         "exit code: 0 = ok, 1 = identity/soundness check failed, 2 = unusable input\n";
 }
 
-// All-idle synthetic snapshot, same defaults as ctopt: every address the
-// query can touch reports a 1 Gbps NIC and a 4 Gbps disk. Deterministic,
-// so reports are snapshot-stable.
-StatusByAddress SynthesizeIdleStatus(const CompiledQuery& compiled) {
-  StatusByAddress status;
-  NodeId next = 1;
-  auto add = [&](const Endpoint& e) {
-    if (e.kind != Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    StatusReport report;
-    report.host = next++;
-    report.nic_tx_cap = report.nic_rx_cap = 1e9;
-    report.disk_read_cap = report.disk_write_cap = 4e9;
-    status[e.name] = report;
-  };
-  for (const cloudtalk::lang::VarComm& var : compiled.variables()) {
-    for (const Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const cloudtalk::lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return status;
-}
-
 std::string FormatSeconds(double seconds) {
   if (std::isinf(seconds)) {
     return "inf";
@@ -120,24 +89,6 @@ std::string FormatSeconds(double seconds) {
 // JSON number or null for infinities (JSON has no inf literal).
 std::string JsonSeconds(double seconds) {
   return std::isfinite(seconds) ? FormatSeconds(seconds) : std::string("null");
-}
-
-std::string RenderBinding(const cloudtalk::Binding& binding) {
-  std::vector<std::string> parts;
-  parts.reserve(binding.size());
-  for (const auto& [var, endpoint] : binding) {
-    parts.push_back(var + "=" + endpoint.ToString());
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out;
-  for (const std::string& part : parts) {
-    out += (out.empty() ? "" : " ") + part;
-  }
-  return out;
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // First member flow of a group, for display.
@@ -161,7 +112,7 @@ int BoundOne(const std::string& source, const std::string& display_name,
     return 2;
   }
 
-  const StatusByAddress status = SynthesizeIdleStatus(*compiled);
+  const StatusByAddress status = cloudtalk::SynthesizeStatus(*compiled, /*load=*/nullptr);
   BoundOptions bound_options;
   bound_options.min_available_fraction = options.fraction;
   const BoundAnalysis bounds = BoundAnalysis::Build(*compiled, status, bound_options);
@@ -231,41 +182,27 @@ int BoundOne(const std::string& source, const std::string& display_name,
   params.plan = &plan_on;
   const Result<ExhaustiveResult> on = EvaluateExhaustive(*compiled, status, estimator, params);
 
-  bool agree;
-  std::string detail;
-  if (!off.ok() && !on.ok()) {
-    agree = true;
-    detail = "both searches report no legal binding";
-  } else if (off.ok() != on.ok()) {
+  std::string detail = cloudtalk::DiffResults("unpruned", off, "bound-pruned", on);
+  bool agree = detail.empty();
+  if (agree && on.ok() && !q.Contains(on.value().estimate.makespan)) {
     agree = false;
-    detail = std::string("only the ") + (off.ok() ? "unpruned" : "bound-pruned") +
-             " search found a binding (" +
-             (off.ok() ? on.error().message : off.error().message) + ")";
-  } else {
+    detail = "winner makespan " + FormatSeconds(on.value().estimate.makespan) +
+             "s escapes the query interval [" + FormatSeconds(q.lb) + "s, " +
+             FormatSeconds(q.ub) + "s] (invariant D502)";
+  } else if (agree && on.ok()) {
     const ExhaustiveResult& a = off.value();
     const ExhaustiveResult& b = on.value();
-    const std::string binding_a = RenderBinding(a.binding);
-    const std::string binding_b = RenderBinding(b.binding);
-    agree = binding_a == binding_b && SameBits(a.estimate.makespan, b.estimate.makespan) &&
-            SameBits(a.estimate.aggregate_throughput, b.estimate.aggregate_throughput);
-    if (agree && !q.Contains(b.estimate.makespan)) {
-      agree = false;
-      detail = "winner makespan " + FormatSeconds(b.estimate.makespan) +
-               "s escapes the query interval [" + FormatSeconds(q.lb) + "s, " +
-               FormatSeconds(q.ub) + "s] (invariant D502)";
-    } else if (agree) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "winner [%s] makespan %.6g s in bounds; enumerated %lld vs %lld "
-                    "(bound_prunes %lld)",
-                    binding_a.c_str(), a.estimate.makespan,
-                    static_cast<long long>(a.counters.enumerated),
-                    static_cast<long long>(b.counters.enumerated),
-                    static_cast<long long>(b.counters.bound_prunes));
-      detail = buf;
-    } else {
-      detail = "unpruned [" + binding_a + "] vs bound-pruned [" + binding_b + "]";
-    }
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "winner [%s] makespan %.6g s in bounds; enumerated %lld vs %lld "
+                  "(bound_prunes %lld)",
+                  cloudtalk::RenderBinding(a.binding).c_str(), a.estimate.makespan,
+                  static_cast<long long>(a.counters.enumerated),
+                  static_cast<long long>(b.counters.enumerated),
+                  static_cast<long long>(b.counters.bound_prunes));
+    detail = buf;
+  } else if (agree) {
+    detail = "both searches report no legal binding";
   }
   std::cout << display_name << ": identity check " << (agree ? "passed" : "FAILED") << ": "
             << detail << "\n";

@@ -8,24 +8,23 @@
 //   ctcanon --equiv a.ct b.ct   decide equivalence: exit 0 when the two
 //                               queries canonicalize to the same bytes
 //   ctcanon --exec query.ct     identity check: answer the original and its
-//                               canonical form against two identically
-//                               seeded simulated clusters and fail unless
-//                               the replies agree after name mapping (the
-//                               D503 soundness contract, single-shot)
+//                               canonical form on a twin pair of simulated
+//                               clusters and fail unless the reply digests
+//                               (binding, scores, makespan, throughput)
+//                               agree after name mapping (the D503
+//                               soundness contract, single-shot)
 //   ctcanon -                   read a query from standard input
 //
 // exit code: 0 = ok / equivalent, 1 = not equivalent, identity mismatch, or
 // query rejected, 2 = unusable input or usage error
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/harness/cluster.h"
+#include "src/harness/differential.h"
 #include "src/lang/canon.h"
 #include "src/lang/parser.h"
 #include "tools/cli_common.h"
@@ -33,12 +32,11 @@
 namespace {
 
 using cloudtalk::Cluster;
-using cloudtalk::ClusterOptions;
-using cloudtalk::kGbps;
-using cloudtalk::MakeSingleSwitch;
+using cloudtalk::MakeTwinCluster;
 using cloudtalk::QueryReply;
+using cloudtalk::ReplyDigest;
 using cloudtalk::Result;
-using cloudtalk::SingleSwitchParams;
+using cloudtalk::cli::EscapeJson;
 using cloudtalk::lang::CanonicalQuery;
 using cloudtalk::lang::Query;
 
@@ -48,14 +46,11 @@ struct Options {
   bool json = false;
   bool equiv = false;
   bool exec = false;
-  int hosts = 16;
-  uint64_t seed = 1;
   std::vector<std::string> files;
 };
 
 void PrintUsage(std::ostream& os) {
-  os << "usage: ctcanon [--print] [--hash] [--json] [--exec]\n"
-        "               [--hosts N] [--seed N] <query.ct ...|->\n"
+  os << "usage: ctcanon [--print] [--hash] [--json] [--exec] <query.ct ...|->\n"
         "       ctcanon --equiv <a.ct> <b.ct>\n"
         "\n"
         "Canonicalizes CloudTalk queries: semantically equivalent queries\n"
@@ -66,10 +61,8 @@ void PrintUsage(std::ostream& os) {
         "  --json      hash, canonical text and name certificate as JSON\n"
         "  --equiv     decide equivalence of exactly two queries\n"
         "  --exec      answer the original and the canonical form on two\n"
-        "              identically seeded simulated clusters and verify the\n"
-        "              replies agree after mapping names back\n"
-        "  --hosts N   simulated cluster size for --exec (default 16)\n"
-        "  --seed N    cluster seed for --exec (default 1)\n"
+        "              identically seeded 16-host simulated clusters and verify\n"
+        "              the replies agree after mapping names back\n"
         "  -           read a query from standard input\n"
         "\n"
         "exit code: 0 = ok/equivalent, 1 = not equivalent or identity\n"
@@ -80,36 +73,6 @@ std::string HashText(uint64_t hash) {
   char text[17];
   std::snprintf(text, sizeof(text), "%016llx", static_cast<unsigned long long>(hash));
   return text;
-}
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 // Parses and canonicalizes one input; returns false (with a message) on
@@ -148,72 +111,28 @@ void PrintJson(const CanonicalQuery& canon, const std::string& display_name) {
   std::cout << "]}\n";
 }
 
-Cluster BuildCluster(const Options& options) {
-  SingleSwitchParams params;
-  params.num_hosts = options.hosts;
-  params.host_caps.nic_up = 1 * kGbps;
-  params.host_caps.nic_down = 1 * kGbps;
-  params.host_caps.disk_read = 4 * kGbps;
-  params.host_caps.disk_write = 4 * kGbps;
-  ClusterOptions cluster_options;
-  cluster_options.seed = options.seed;
-  cluster_options.server.seed = options.seed;
-  cluster_options.server.eval_threads = 1;  // Deterministic shard order.
-  // Reservation-free so the two runs see identical state (the check needs
-  // answers that are pure functions of the query and the status snapshot).
-  cluster_options.server.reservation_hold = 0;
-  Cluster cluster(MakeSingleSwitch(params), cluster_options);
-  cluster.StartStatusSweep();
-  cluster.MeasureNow();
-  return cluster;
-}
-
 // The D503 identity check, single-shot: the canonical form must be answered
-// exactly like the original, endpoint for endpoint, once the canonical
-// variable names are mapped back through the certificate.
+// exactly like the original (same reply digest) once the canonical variable
+// names are mapped back through the certificate. Reservation-free twin
+// clusters, so each reply is a pure function of the query and the status.
 int ExecIdentity(const std::string& source, const std::string& display_name,
-                 const CanonicalQuery& canon, const Options& options) {
-  Cluster original_cluster = BuildCluster(options);
-  Cluster canonical_cluster = BuildCluster(options);
+                 const CanonicalQuery& canon) {
+  Cluster original_cluster = MakeTwinCluster(/*seed=*/1, /*scope_probe_pruning=*/true, 0);
+  Cluster canonical_cluster = MakeTwinCluster(/*seed=*/1, /*scope_probe_pruning=*/true, 0);
   const Result<QueryReply> original = original_cluster.cloudtalk().Answer(source);
   const Result<QueryReply> canonical = canonical_cluster.cloudtalk().Answer(canon.text);
-  if (original.ok() != canonical.ok()) {
-    std::cerr << display_name << ": identity mismatch: original "
-              << (original.ok() ? "answered" : "rejected") << " but canonical form "
-              << (canonical.ok() ? "answered" : "rejected") << "\n";
-    return 1;
-  }
-  if (!original.ok()) {
+  if (!original.ok() && !canonical.ok()) {
     std::cerr << display_name << ": rejected: " << original.error().message << "\n";
     return 1;
   }
-  // Compare bindings in the original vocabulary (sorted for stable output).
-  std::map<std::string, std::string> original_binding;
-  for (const auto& [var, endpoint] : original.value().binding) {
-    original_binding[var] = endpoint.name;
-  }
-  std::map<std::string, std::string> mapped_binding;
-  for (const auto& [var, endpoint] : canonical.value().binding) {
-    const std::string* name = canon.OriginalVariable(var);
-    mapped_binding[name != nullptr ? *name : var] = endpoint.name;
-  }
-  if (original_binding != mapped_binding) {
-    std::cerr << display_name << ": identity mismatch: bindings differ\n";
-    for (const auto& [var, endpoint] : original_binding) {
-      std::cerr << "  original   " << var << " -> " << endpoint << "\n";
-    }
-    for (const auto& [var, endpoint] : mapped_binding) {
-      std::cerr << "  canonical  " << var << " -> " << endpoint << "\n";
-    }
+  const std::string want = ReplyDigest(original);
+  const std::string got = ReplyDigest(canonical, cloudtalk::CanonicalToOriginal(canon));
+  if (got != want) {
+    std::cerr << display_name << ": identity mismatch:\n  original   " << want
+              << "\n  canonical  " << got << "\n";
     return 1;
   }
-  if (original.value().estimate.makespan != canonical.value().estimate.makespan) {
-    std::cerr << display_name << ": identity mismatch: makespan "
-              << original.value().estimate.makespan << " vs "
-              << canonical.value().estimate.makespan << "\n";
-    return 1;
-  }
-  std::cout << display_name << ": identity ok (" << original_binding.size()
+  std::cout << display_name << ": identity ok (" << original.value().binding.size()
             << " variables, hash " << HashText(canon.hash) << ")\n";
   return 0;
 }
@@ -233,7 +152,7 @@ int RunOne(const std::string& source, const std::string& display_name, const Opt
     PrintJson(canon, display_name);
   }
   if (options.exec) {
-    return ExecIdentity(source, display_name, canon, options);
+    return ExecIdentity(source, display_name, canon);
   }
   return 0;
 }
@@ -279,18 +198,6 @@ int main(int argc, char** argv) {
       options.equiv = true;
     } else if (arg == "--exec") {
       options.exec = true;
-    } else if (arg == "--hosts") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.hosts = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        PrintUsage(std::cerr);
-        return 2;
-      }
-      options.seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       return 0;

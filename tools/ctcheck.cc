@@ -10,33 +10,26 @@
 // fixtures under examples/scenarios/ are such files, registered as ctest
 // cases (one clean sweep, one guarding the time-epsilon regression).
 //
-// `--diff-opt` switches to a second fuzzing target: per seed it generates a
-// random query plus a random status snapshot, runs the exhaustive engine
-// with the static optimisation passes off and on, and reports any
-// divergence (different winner, or a non-bit-identical estimate) as a D500
-// violation, saving the query text for replay with ctopt.
-//
-// `--diff-bound` fuzzes the sound bound analysis (src/lang/bound.h): every
-// legal binding of a generated query is simulated and its makespan checked
-// against the static [LB, UB] interval; any escape is a D502 violation.
+// `--diff-<check>` switches to one of the differential checks in
+// kDiffChecks: per seed, generated queries are answered in two
+// configurations that must agree byte for byte (contracts D500-D505, see
+// DESIGN.md), and any divergence is saved as a replayable `.ct` file.
+// `--diff-bound` is the one soundness check among them: every legal
+// binding's simulated makespan must lie inside the static [LB, UB] interval
+// of src/lang/bound.h (D502).
 //
 // Usage:
 //   ctcheck [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-opt [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-sim [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-bound [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-canon [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-scope [--seeds N] [--seed-base B] [--out DIR] [--json]
-//   ctcheck --diff-shard [--seeds N] [--seed-base B] [--out DIR] [--json]
+//   ctcheck --diff-<check> [--seeds N] [--seed-base B] [--out DIR] [--json]
 //   ctcheck --replay scenario.ctsc [--json]
 //   ctcheck --catalog [--json]
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,6 +46,7 @@
 #include "src/lang/parser.h"
 #include "src/fluidsim/fluid_simulation.h"
 #include "src/harness/cluster.h"
+#include "src/harness/differential.h"
 #include "src/hdfs/mini_hdfs.h"
 #include "src/mapred/mini_mapreduce.h"
 #include "src/topology/topology.h"
@@ -458,111 +452,54 @@ std::string GenerateDiffOptQuery(uint64_t seed) {
   return q.str();
 }
 
-// Random per-address load, with scalar resources present half the time so
-// requirement pruning (O100) actually bites.
-StatusByAddress GenerateDiffOptStatus(const lang::CompiledQuery& compiled, uint64_t seed) {
-  Rng rng(seed ^ 0x94d049bb133111ebull);
+// The generated query of one --diff-{opt,sim,bound,canon} seed, compiled,
+// with a random per-address load snapshot (scalar resources present half the
+// time, so requirement pruning (O100) actually bites). Built in place by
+// GenerateWorld: `compiled` points into `query`.
+struct GeneratedWorld {
+  GeneratedWorld() = default;
+  GeneratedWorld(const GeneratedWorld&) = delete;
+  GeneratedWorld& operator=(const GeneratedWorld&) = delete;
+
+  lang::Query query;
+  std::optional<lang::CompiledQuery> compiled;
   StatusByAddress status;
-  NodeId next = 1;
-  const auto add = [&](const lang::Endpoint& e) {
-    if (e.kind != lang::Endpoint::Kind::kAddress || status.count(e.name) > 0) {
-      return;
-    }
-    StatusReport r;
-    r.host = next++;
-    r.nic_tx_cap = r.nic_rx_cap = 1e9;
-    r.nic_tx_use = rng.Uniform(0, 9e8);
-    r.nic_rx_use = rng.Uniform(0, 9e8);
-    r.disk_read_cap = r.disk_write_cap = 4e9;
-    r.disk_read_use = rng.Uniform(0, 2e9);
-    r.disk_write_use = rng.Uniform(0, 2e9);
-    if (rng.Bernoulli(0.5)) {
-      r.cpu_cores_total = 8;
-      r.cpu_cores_used = rng.Uniform(0, 8);
-      r.mem_total = static_cast<Bytes>(16.0 * kGB);
-      r.mem_used = static_cast<Bytes>(rng.Uniform(0, 16.0 * kGB));
-    }
-    status[e.name] = r;
-  };
-  for (const lang::VarComm& var : compiled.variables()) {
-    for (const lang::Endpoint& e : var.pool) {
-      add(e);
-    }
-  }
-  for (const lang::CompiledFlow& flow : compiled.flows()) {
-    add(flow.src);
-    add(flow.dst);
-  }
-  return status;
-}
+};
 
-std::string RenderBinding(const Binding& binding) {
-  std::vector<std::string> parts;
-  parts.reserve(binding.size());
-  for (const auto& [var, endpoint] : binding) {
-    parts.push_back(var + "=" + endpoint.ToString());
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out;
-  for (const std::string& part : parts) {
-    out += (out.empty() ? "" : " ") + part;
-  }
-  return out;
-}
-
-// Runs one differential seed. Returns the D500 detail on divergence, or an
-// empty string on agreement.
-std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
+// Returns "" once *world is built, else the generator bug.
+std::string GenerateWorld(uint64_t seed, std::string* query_text, GeneratedWorld* world) {
   *query_text = GenerateDiffOptQuery(seed);
   lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
+  world->query = lang::ParseWithDiagnostics(*query_text, &sink);
+  if (!sink.has_errors()) {
+    world->compiled = lang::CompiledQuery::Compile(world->query, &sink);
+  }
   if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
+    return "generated query is rejected (generator bug): " + sink.ToLegacyError().message;
   }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
+  Rng load(seed ^ 0x94d049bb133111ebull);
+  world->status = SynthesizeStatus(*world->compiled, &load);
+  return "";
+}
 
+// D500: the exhaustive engine with the static optimisation passes off and
+// on must return the same digest.
+std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
+  GeneratedWorld world;
+  if (std::string bug = GenerateWorld(seed, query_text, &world); !bug.empty()) {
+    return bug;
+  }
   ExhaustiveParams params;
-  params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
+  params.threads = world.query.options.eval_threads > 0 ? world.query.options.eval_threads : 1;
   params.optimize = false;
   FlowLevelEstimator est_off;
   const Result<ExhaustiveResult> off =
-      EvaluateExhaustive(compiled.value(), status, est_off, params);
+      EvaluateExhaustive(*world.compiled, world.status, est_off, params);
   params.optimize = true;
   FlowLevelEstimator est_on;
   const Result<ExhaustiveResult> on =
-      EvaluateExhaustive(compiled.value(), status, est_on, params);
-
-  if (!off.ok() && !on.ok()) {
-    return "";  // Both walks agree there is no answer.
-  }
-  if (off.ok() != on.ok()) {
-    return std::string("only the ") + (off.ok() ? "unoptimised" : "optimized") +
-           " search found a binding (" +
-           (off.ok() ? on.error().message : off.error().message) + ")";
-  }
-  const ExhaustiveResult& a = off.value();
-  const ExhaustiveResult& b = on.value();
-  const std::string binding_a = RenderBinding(a.binding);
-  const std::string binding_b = RenderBinding(b.binding);
-  if (binding_a != binding_b) {
-    return "different winners: unoptimised [" + binding_a + "] vs optimized [" + binding_b +
-           "]";
-  }
-  if (std::memcmp(&a.estimate.makespan, &b.estimate.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.estimate.aggregate_throughput, &b.estimate.aggregate_throughput,
-                  sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g",
-                  a.estimate.makespan, b.estimate.makespan);
-    return buf;
-  }
-  return "";
+      EvaluateExhaustive(*world.compiled, world.status, est_on, params);
+  return DiffResults("unoptimised", off, "optimized", on);
 }
 
 // ---- --diff-sim: differential fuzz of the incremental delta re-solve ----
@@ -575,57 +512,23 @@ std::string RunDiffOptSeed(uint64_t seed, std::string* query_text) {
 // sides so the enumeration order (and hence the delta chains the odometer
 // produces) is identical. Any divergence is a D501 violation.
 std::string RunDiffSimSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
+  GeneratedWorld world;
+  if (std::string bug = GenerateWorld(seed, query_text, &world); !bug.empty()) {
+    return bug;
   }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
-
   ExhaustiveParams params;
-  params.threads = query.options.eval_threads > 0 ? query.options.eval_threads : 1;
+  params.threads = world.query.options.eval_threads > 0 ? world.query.options.eval_threads : 1;
   params.optimize = false;
   params.memoize = false;
   FlowLevelEstimator est_cold(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                               /*delta_rebind=*/false);
   const Result<ExhaustiveResult> cold =
-      EvaluateExhaustive(compiled.value(), status, est_cold, params);
+      EvaluateExhaustive(*world.compiled, world.status, est_cold, params);
   FlowLevelEstimator est_delta(/*min_available_fraction=*/0.1, /*reuse_scratch=*/true,
                                /*delta_rebind=*/true);
   const Result<ExhaustiveResult> delta =
-      EvaluateExhaustive(compiled.value(), status, est_delta, params);
-
-  if (!cold.ok() && !delta.ok()) {
-    return "";  // Both sides agree there is no answer.
-  }
-  if (cold.ok() != delta.ok()) {
-    return std::string("only the ") + (cold.ok() ? "cold" : "delta") +
-           " estimator found a binding (" +
-           (cold.ok() ? delta.error().message : cold.error().message) + ")";
-  }
-  const ExhaustiveResult& a = cold.value();
-  const ExhaustiveResult& b = delta.value();
-  const std::string binding_a = RenderBinding(a.binding);
-  const std::string binding_b = RenderBinding(b.binding);
-  if (binding_a != binding_b) {
-    return "different winners: cold [" + binding_a + "] vs delta [" + binding_b + "]";
-  }
-  if (std::memcmp(&a.estimate.makespan, &b.estimate.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.estimate.aggregate_throughput, &b.estimate.aggregate_throughput,
-                  sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g",
-                  a.estimate.makespan, b.estimate.makespan);
-    return buf;
-  }
-  return "";
+      EvaluateExhaustive(*world.compiled, world.status, est_delta, params);
+  return DiffResults("cold", cold, "delta", delta);
 }
 
 // ---- --diff-bound: differential fuzz of the sound bound analysis ----
@@ -638,20 +541,12 @@ std::string RunDiffSimSeed(uint64_t seed, std::string* query_text) {
 // allocation) are skipped: bounds only promise to bracket successful
 // estimates. Any escape is a D502 violation and the query is saved.
 std::string RunDiffBoundSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
+  GeneratedWorld world;
+  if (std::string bug = GenerateWorld(seed, query_text, &world); !bug.empty()) {
+    return bug;
   }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
-
-  const lang::CompiledQuery& cq = compiled.value();
+  const lang::CompiledQuery& cq = *world.compiled;
+  const StatusByAddress& status = world.status;
   const lang::BoundAnalysis bounds =
       lang::BoundAnalysis::Build(cq, status, lang::BoundOptions{});
   const auto& variables = cq.variables();
@@ -671,7 +566,7 @@ std::string RunDiffBoundSeed(uint64_t seed, std::string* query_text) {
     }
   }
 
-  const bool distinct = !query.options.allow_same_binding;
+  const bool distinct = !world.query.options.allow_same_binding;
   FlowLevelEstimator estimator;  // Default fraction 0.1 = BoundOptions default.
   estimator.BeginQuery(cq, status);
   Binding binding;
@@ -733,117 +628,6 @@ std::string RunDiffBoundSeed(uint64_t seed, std::string* query_text) {
   walk(0);
   estimator.EndQuery();
   return violation;
-}
-
-int RunDiffBoundMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffBoundSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffbound_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-bound divergence, seed " << seed << " (D502)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D502 bound soundness violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-bound\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-bound: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
-
-int RunDiffSimMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffSimSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffsim_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-sim divergence, seed " << seed << " (D501)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D501 delta re-solve divergence: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-sim\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-sim: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
-
-int RunDiffOptMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffOptSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffopt_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-opt divergence, seed " << seed << " (D500)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D500 optimisation divergence: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-opt\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-opt: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
 }
 
 // ---- --diff-canon: differential fuzz of semantic canonicalization ----
@@ -950,18 +734,11 @@ void MutateEquivalent(lang::Query* query, Rng& rng) {
 }
 
 std::string RunDiffCanonSeed(uint64_t seed, std::string* query_text) {
-  *query_text = GenerateDiffOptQuery(seed);
-  lang::DiagnosticSink sink;
-  const lang::Query query = lang::ParseWithDiagnostics(*query_text, &sink);
-  if (sink.has_errors()) {
-    return "generated query does not parse (generator bug): " +
-           sink.diagnostics().front().message;
+  GeneratedWorld world;
+  if (std::string bug = GenerateWorld(seed, query_text, &world); !bug.empty()) {
+    return bug;
   }
-  Result<lang::CompiledQuery> compiled = lang::CompiledQuery::Compile(query);
-  if (!compiled.ok()) {
-    return "generated query does not compile (generator bug): " + compiled.error().message;
-  }
-  const Result<lang::CanonicalQuery> canon = lang::Canonicalize(query);
+  const Result<lang::CanonicalQuery> canon = lang::Canonicalize(world.query);
   if (!canon.ok()) {
     return "error-free query failed to canonicalize: " + canon.error().message;
   }
@@ -999,83 +776,17 @@ std::string RunDiffCanonSeed(uint64_t seed, std::string* query_text) {
   if (!canon_compiled.ok()) {
     return "canonical form does not compile: " + canon_compiled.error().message;
   }
-  const StatusByAddress status = GenerateDiffOptStatus(compiled.value(), seed);
   ExhaustiveParams params;
   params.threads = 1;
   params.optimize = false;
   FlowLevelEstimator est_original;
   const Result<ExhaustiveResult> original =
-      EvaluateExhaustive(compiled.value(), status, est_original, params);
+      EvaluateExhaustive(*world.compiled, world.status, est_original, params);
   FlowLevelEstimator est_canonical;
   const Result<ExhaustiveResult> canonical =
-      EvaluateExhaustive(canon_compiled.value(), status, est_canonical, params);
-  if (original.ok() != canonical.ok()) {
-    return std::string("only the ") + (original.ok() ? "original" : "canonical") +
-           " form found a binding (" +
-           (original.ok() ? canonical.error().message : original.error().message) + ")";
-  }
-  if (!original.ok()) {
-    return "";  // Both forms agree there is no answer.
-  }
-  Binding mapped;
-  for (const auto& [var, endpoint] : canonical.value().binding) {
-    const std::string* name = canon.value().OriginalVariable(var);
-    mapped[name != nullptr ? *name : var] = endpoint;
-  }
-  const std::string binding_a = RenderBinding(original.value().binding);
-  const std::string binding_b = RenderBinding(mapped);
-  if (binding_a != binding_b) {
-    return "different winners: original [" + binding_a + "] vs canonical [" + binding_b +
-           "]";
-  }
-  const Estimate& a = original.value().estimate;
-  const Estimate& b = canonical.value().estimate;
-  if (std::memcmp(&a.makespan, &b.makespan, sizeof(double)) != 0 ||
-      std::memcmp(&a.aggregate_throughput, &b.aggregate_throughput, sizeof(double)) != 0) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "same winner but estimates differ: makespan %.17g vs %.17g", a.makespan,
-                  b.makespan);
-    return buf;
-  }
-  return "";
-}
-
-int RunDiffCanonMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffCanonSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffcanon_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-canon divergence, seed " << seed << " (D503)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D503 canonicalization violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-canon\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-canon: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
+      EvaluateExhaustive(canon_compiled.value(), world.status, est_canonical, params);
+  return DiffResults("original", original, "canonical", canonical,
+                     CanonicalToOriginal(canon.value()));
 }
 
 // ---- --diff-scope: differential fuzz of the footprint analysis ----
@@ -1091,7 +802,6 @@ int RunDiffCanonMode(int seeds, uint64_t seed_base, const std::string& out_dir, 
 //     armed; neither query's reply may depend on the admission order — the
 //     property the server's concurrent admission gate rests on.
 
-constexpr int kDiffScopeHosts = 16;
 
 // Single-switch hosts are 10.0.0.1 .. 10.0.0.N (rack 0), index 0-based.
 std::string DiffScopeHost(int index) { return "10.0.0." + std::to_string(index + 1); }
@@ -1153,25 +863,6 @@ std::string GenerateDiffScopeQuery(uint64_t seed, int lo, int hi) {
   return q.str();
 }
 
-Cluster MakeDiffScopeCluster(uint64_t seed, bool scope_probe_pruning,
-                             Seconds reservation_hold) {
-  SingleSwitchParams params;
-  params.num_hosts = kDiffScopeHosts;
-  params.host_caps.nic_up = 1 * kGbps;
-  params.host_caps.nic_down = 1 * kGbps;
-  params.host_caps.disk_read = 4 * kGbps;
-  params.host_caps.disk_write = 4 * kGbps;
-  ClusterOptions options;
-  options.seed = seed;
-  options.server.seed = seed;
-  options.server.eval_threads = 1;
-  options.server.reservation_hold = reservation_hold;
-  options.server.scope_probe_pruning = scope_probe_pruning;
-  Cluster cluster(MakeSingleSwitch(params), options);
-  cluster.StartStatusSweep();
-  return cluster;
-}
-
 // Seeds deterministic background traffic so probed status actually differs
 // across hosts (an all-idle fleet would make every oracle trivially pass).
 void AddDiffScopeLoad(Cluster* cluster, uint64_t seed) {
@@ -1179,8 +870,8 @@ void AddDiffScopeLoad(Cluster* cluster, uint64_t seed) {
   const std::vector<NodeId>& hosts = cluster->topology().hosts();
   const int pairs = static_cast<int>(rng.UniformInt(2, 5));
   for (int i = 0; i < pairs; ++i) {
-    const int a = static_cast<int>(rng.UniformInt(0, kDiffScopeHosts - 1));
-    const int b = static_cast<int>(rng.UniformInt(0, kDiffScopeHosts - 1));
+    const int a = static_cast<int>(rng.UniformInt(0, kTwinClusterHosts - 1));
+    const int b = static_cast<int>(rng.UniformInt(0, kTwinClusterHosts - 1));
     if (a == b) {
       continue;
     }
@@ -1190,42 +881,18 @@ void AddDiffScopeLoad(Cluster* cluster, uint64_t seed) {
   cluster->MeasureNow();
 }
 
-// Everything an answer exposes, rendered bit-faithfully (%.17g doubles):
-// ok-ness and message, binding, per-variable scores, estimate makespan.
-// Probe stats and traces legitimately differ between the two sides.
-std::string DiffScopeReplyDigest(const Result<QueryReply>& reply) {
-  if (!reply.ok()) {
-    return "error: " + reply.error().message;
-  }
-  std::string out = "binding [" + RenderBinding(reply.value().binding) + "] scores [";
-  std::vector<std::string> scores;
-  for (const auto& [name, score] : reply.value().scores) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s=%.17g", name.c_str(), score);
-    scores.push_back(buf);
-  }
-  std::sort(scores.begin(), scores.end());
-  for (const std::string& s : scores) {
-    out += s + " ";
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", reply.value().estimate.makespan);
-  out += "] makespan " + std::string(buf);
-  return out;
-}
-
 std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
   // Oracle 1: footprint identity against full-fleet probing.
-  *query_text = GenerateDiffScopeQuery(seed, 0, kDiffScopeHosts - 1);
+  *query_text = GenerateDiffScopeQuery(seed, 0, kTwinClusterHosts - 1);
   {
-    Cluster pruned = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
-    Cluster full = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/false, 0);
+    Cluster pruned = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 0);
+    Cluster full = MakeTwinCluster(seed, /*scope_probe_pruning=*/false, 0);
     AddDiffScopeLoad(&pruned, seed);
     AddDiffScopeLoad(&full, seed);
     const Result<QueryReply> a = pruned.cloudtalk().Answer(*query_text);
     const Result<QueryReply> b = full.cloudtalk().Answer(*query_text);
-    const std::string da = DiffScopeReplyDigest(a);
-    const std::string db = DiffScopeReplyDigest(b);
+    const std::string da = ReplyDigest(a);
+    const std::string db = ReplyDigest(b);
     if (da != db) {
       return "footprint probing diverges from full probing: [" + da + "] vs [" + db + "]";
     }
@@ -1236,17 +903,17 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
     }
   }
   // Oracle 2: disjoint queries commute under reservations.
-  const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kDiffScopeHosts / 2 - 1);
+  const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kTwinClusterHosts / 2 - 1);
   const std::string right =
-      GenerateDiffScopeQuery(seed * 2 + 2, kDiffScopeHosts / 2, kDiffScopeHosts - 1);
-  Cluster lr = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
-  Cluster rl = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+      GenerateDiffScopeQuery(seed * 2 + 2, kTwinClusterHosts / 2, kTwinClusterHosts - 1);
+  Cluster lr = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster rl = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 60.0);
   AddDiffScopeLoad(&lr, seed);
   AddDiffScopeLoad(&rl, seed);
-  const std::string left_first = DiffScopeReplyDigest(lr.cloudtalk().Answer(left));
-  const std::string right_second = DiffScopeReplyDigest(lr.cloudtalk().Answer(right));
-  const std::string right_first = DiffScopeReplyDigest(rl.cloudtalk().Answer(right));
-  const std::string left_second = DiffScopeReplyDigest(rl.cloudtalk().Answer(left));
+  const std::string left_first = ReplyDigest(lr.cloudtalk().Answer(left));
+  const std::string right_second = ReplyDigest(lr.cloudtalk().Answer(right));
+  const std::string right_first = ReplyDigest(rl.cloudtalk().Answer(right));
+  const std::string left_second = ReplyDigest(rl.cloudtalk().Answer(left));
   if (left_first != left_second) {
     *query_text = left + "# --- disjoint peer, answered on the same cluster ---\n" + right;
     return "disjoint queries do not commute: first reply depends on order: [" + left_first +
@@ -1258,43 +925,6 @@ std::string RunDiffScopeSeed(uint64_t seed, std::string* query_text) {
            right_first + "] vs [" + right_second + "]";
   }
   return "";
-}
-
-int RunDiffScopeMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffScopeSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffscope_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-scope divergence, seed " << seed << " (D504)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D504 footprint violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-scope\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-scope: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
 }
 
 // ---- --diff-shard: differential fuzz of the sharded deployment ----
@@ -1331,25 +961,25 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   // second and third queries see the first's reservations).
   std::vector<std::string> queries;
   for (uint64_t k = 0; k < 3; ++k) {
-    queries.push_back(GenerateDiffScopeQuery(seed * 3 + k, 0, kDiffScopeHosts - 1));
+    queries.push_back(GenerateDiffScopeQuery(seed * 3 + k, 0, kTwinClusterHosts - 1));
   }
   *query_text = queries[0] + "# --- answered in sequence ---\n" + queries[1] +
                 "# --- answered in sequence ---\n" + queries[2];
   std::vector<std::string> oracle;
   {
-    Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    Cluster cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 0.3);
     AddDiffScopeLoad(&cluster, seed);
     for (const std::string& q : queries) {
-      oracle.push_back(DiffScopeReplyDigest(cluster.cloudtalk().Answer(q)));
+      oracle.push_back(ReplyDigest(cluster.cloudtalk().Answer(q)));
     }
   }
   for (const int shards : kShardCounts) {
-    Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0.3);
+    Cluster cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 0.3);
     AddDiffScopeLoad(&cluster, seed);
     ShardedServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
                           &cluster.transport(), [&cluster] { return cluster.now(); });
     for (size_t i = 0; i < queries.size(); ++i) {
-      const std::string got = DiffScopeReplyDigest(sharded.Answer(queries[i]));
+      const std::string got = ReplyDigest(sharded.Answer(queries[i]));
       if (got != oracle[i]) {
         return "sharded reply diverges from the one-shard reference (" + std::to_string(shards) +
                " shard(s), query " + std::to_string(i + 1) + " of 3): [" + got + "] vs [" +
@@ -1363,7 +993,7 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   {
     const std::string packet_query =
         "option packet\n" + GenerateDiffScopeQuery(seed ^ 0x9e3779b97f4a7c15ull, 0, 5);
-    Cluster oracle_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+    Cluster oracle_cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 0);
     AddDiffScopeLoad(&oracle_cluster, seed);
     PacketLevelEstimator oracle_estimator(&oracle_cluster.topology(),
                                           &oracle_cluster.directory());
@@ -1371,15 +1001,15 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
                            &oracle_cluster.transport(),
                            [&oracle_cluster] { return oracle_cluster.now(); },
                            &oracle_estimator);
-    const std::string want = DiffScopeReplyDigest(single.Answer(packet_query));
+    const std::string want = ReplyDigest(single.Answer(packet_query));
     for (const int shards : kShardCounts) {
-      Cluster cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 0);
+      Cluster cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 0);
       AddDiffScopeLoad(&cluster, seed);
       PacketLevelEstimator estimator(&cluster.topology(), &cluster.directory());
       ShardedServer sharded(DiffShardConfig(&cluster, shards), &cluster.directory(),
                             &cluster.transport(), [&cluster] { return cluster.now(); },
                             &estimator);
-      const std::string got = DiffScopeReplyDigest(sharded.Answer(packet_query));
+      const std::string got = ReplyDigest(sharded.Answer(packet_query));
       if (got != want) {
         *query_text = packet_query;
         return "per-shard search slices merge to a different winner (" +
@@ -1391,22 +1021,22 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   // draw from disjoint host slices, so the sharded server may evaluate them
   // in parallel — the replies must still match the sequential one-shard
   // answers.
-  const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kDiffScopeHosts / 2 - 1);
+  const std::string left = GenerateDiffScopeQuery(seed * 2 + 1, 0, kTwinClusterHosts / 2 - 1);
   const std::string right =
-      GenerateDiffScopeQuery(seed * 2 + 2, kDiffScopeHosts / 2, kDiffScopeHosts - 1);
-  Cluster oracle_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
-  Cluster sharded_cluster = MakeDiffScopeCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+      GenerateDiffScopeQuery(seed * 2 + 2, kTwinClusterHosts / 2, kTwinClusterHosts - 1);
+  Cluster oracle_cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 60.0);
+  Cluster sharded_cluster = MakeTwinCluster(seed, /*scope_probe_pruning=*/true, 60.0);
   AddDiffScopeLoad(&oracle_cluster, seed);
   AddDiffScopeLoad(&sharded_cluster, seed);
-  const std::string left_want = DiffScopeReplyDigest(oracle_cluster.cloudtalk().Answer(left));
-  const std::string right_want = DiffScopeReplyDigest(oracle_cluster.cloudtalk().Answer(right));
+  const std::string left_want = ReplyDigest(oracle_cluster.cloudtalk().Answer(left));
+  const std::string right_want = ReplyDigest(oracle_cluster.cloudtalk().Answer(right));
   ShardedServer sharded(DiffShardConfig(&sharded_cluster, 4), &sharded_cluster.directory(),
                         &sharded_cluster.transport(),
                         [&sharded_cluster] { return sharded_cluster.now(); });
   std::string left_got;
   std::string right_got;
-  std::thread left_thread([&] { left_got = DiffScopeReplyDigest(sharded.Answer(left)); });
-  std::thread right_thread([&] { right_got = DiffScopeReplyDigest(sharded.Answer(right)); });
+  std::thread left_thread([&] { left_got = ReplyDigest(sharded.Answer(left)); });
+  std::thread right_thread([&] { right_got = ReplyDigest(sharded.Answer(right)); });
   left_thread.join();
   right_thread.join();
   if (left_got != left_want || right_got != right_want) {
@@ -1417,81 +1047,38 @@ std::string RunDiffShardSeed(uint64_t seed, std::string* query_text) {
   return "";
 }
 
-int RunDiffShardMode(int seeds, uint64_t seed_base, const std::string& out_dir, bool json) {
-  if (seeds <= 0) {
-    std::fprintf(stderr, "ctcheck: --seeds must be positive\n");
-    return 2;
-  }
-  int violating = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    std::string query_text;
-    const std::string detail = RunDiffShardSeed(seed, &query_text);
-    if (detail.empty()) {
-      continue;
-    }
-    ++violating;
-    std::string saved_to = out_dir + "/diffshard_" + std::to_string(seed) + ".ct";
-    std::ofstream out(saved_to);
-    if (out) {
-      out << "# ctcheck --diff-shard divergence, seed " << seed << " (D505)\n"
-          << "# " << detail << "\n"
-          << query_text;
-    } else {
-      std::fprintf(stderr, "ctcheck: cannot write '%s'\n", saved_to.c_str());
-      saved_to.clear();
-    }
-    std::fprintf(stderr, "seed %llu: D505 sharding violation: %s%s%s\n",
-                 static_cast<unsigned long long>(seed), detail.c_str(),
-                 saved_to.empty() ? "" : ", query saved to ", saved_to.c_str());
-  }
-  if (json) {
-    std::printf("{\"mode\":\"diff-shard\",\"scenarios\":%d,\"violating\":%d}\n", seeds,
-                violating);
-  } else {
-    std::printf("ctcheck --diff-shard: %d seed(s), %d divergent\n", seeds, violating);
-  }
-  return violating > 0 ? 1 : 0;
-}
+// The differential checks, one per contract; `--diff-<name>` selects a row.
+constexpr DiffCheck kDiffChecks[] = {
+    {"opt", "D500", "optimisation divergence", RunDiffOptSeed},
+    {"sim", "D501", "delta re-solve divergence", RunDiffSimSeed},
+    {"bound", "D502", "bound soundness violation", RunDiffBoundSeed},
+    {"canon", "D503", "canonicalization violation", RunDiffCanonSeed},
+    {"scope", "D504", "footprint violation", RunDiffScopeSeed},
+    {"shard", "D505", "sharding violation", RunDiffShardSeed},
+};
 
 void PrintUsage(FILE* out) {
+  std::fprintf(out, "usage: ctcheck [--seeds N] [--seed-base B] [--out DIR] [--json]\n");
+  for (const DiffCheck& check : kDiffChecks) {
+    std::fprintf(out,
+                 "       ctcheck --diff-%s [--seeds N] [--seed-base B] [--out DIR] [--json]\n",
+                 check.name);
+  }
   std::fprintf(out,
-               "usage: ctcheck [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-opt [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-sim [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-bound [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-canon [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-scope [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
-               "       ctcheck --diff-shard [--seeds N] [--seed-base B] [--out DIR] [--json]\n"
                "       ctcheck --replay scenario.ctsc [--json]\n"
                "       ctcheck --catalog [--json]\n"
                "\n"
                "Seeded scenario fuzzer for the CloudTalk invariant checks: generates\n"
                "randomized cluster workloads, runs them with CT_INVARIANT armed, and\n"
                "serializes any violating scenario to a replayable .ctsc file.\n"
-               "With --diff-opt, fuzzes the static optimisation passes instead: random\n"
-               "queries and status snapshots are evaluated exhaustively with the passes\n"
-               "off and on; any divergence is a D500 violation and the query is saved.\n"
-               "With --diff-sim, fuzzes the incremental fluid solver: every binding is\n"
-               "estimated twice, once via checkpoint-restore delta re-solve and once via\n"
-               "a cold per-binding rebuild; any divergence is a D501 violation.\n"
-               "With --diff-bound, fuzzes the sound bound analysis: every legal binding\n"
-               "is simulated and its makespan checked against the static [LB, UB]\n"
-               "interval; any escape is a D502 violation and the query is saved.\n"
-               "With --diff-canon, fuzzes semantic canonicalization: canon must be\n"
-               "idempotent, equivalence-preserving mutations must not change the\n"
-               "canonical bytes, and the canonical form must be answered exactly like\n"
-               "the original; any divergence is a D503 violation and the query is saved.\n"
-               "With --diff-scope, fuzzes the static footprint analysis: probing only\n"
-               "the computed footprint must answer exactly like probing everything, and\n"
-               "queries with disjoint reservation footprints must commute; any\n"
-               "divergence is a D504 violation and the query is saved.\n"
-               "With --diff-shard, fuzzes the sharded deployment: a server over 1, 2,\n"
-               "and 4 shards — hierarchical probe aggregation, per-shard search slices,\n"
-               "two-phase cross-shard reservations, concurrent N-slot admission — must\n"
-               "answer byte-identically to the one-shard reference configuration; any\n"
-               "divergence is a D505 violation and the query is saved.\n"
-               "Exits 0 when every scenario is clean, 1 on violations, 2 on usage errors.\n");
+               "With --diff-<check>, runs a differential check instead: per seed,\n"
+               "generated queries are answered in two configurations that must agree\n"
+               "byte for byte; each divergence is reported and its query saved as\n"
+               "<out>/diff<check>_<seed>.ct. The checks:\n");
+  for (const DiffCheck& check : kDiffChecks) {
+    std::fprintf(out, "  --diff-%-6s %s %s\n", check.name, check.code, check.label);
+  }
+  std::fprintf(out, "Exits 0 when every scenario is clean, 1 on violations, 2 on usage errors.\n");
 }
 
 void PrintCatalog(bool json) {
@@ -1522,12 +1109,7 @@ int Main(int argc, char** argv) {
   std::string replay_path;
   bool json = false;
   bool catalog = false;
-  bool diff_opt = false;
-  bool diff_sim = false;
-  bool diff_bound = false;
-  bool diff_canon = false;
-  bool diff_scope = false;
-  bool diff_shard = false;
+  const DiffCheck* diff = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -1537,6 +1119,10 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto named = std::find_if(std::begin(kDiffChecks), std::end(kDiffChecks),
+                                    [&arg](const DiffCheck& check) {
+                                      return arg == std::string("--diff-") + check.name;
+                                    });
     if (arg == "--seeds") {
       seeds = std::atoi(next("--seeds"));
     } else if (arg == "--seed-base") {
@@ -1549,18 +1135,9 @@ int Main(int argc, char** argv) {
       json = true;
     } else if (arg == "--catalog") {
       catalog = true;
-    } else if (arg == "--diff-opt") {
-      diff_opt = true;
-    } else if (arg == "--diff-sim") {
-      diff_sim = true;
-    } else if (arg == "--diff-bound") {
-      diff_bound = true;
-    } else if (arg == "--diff-canon") {
-      diff_canon = true;
-    } else if (arg == "--diff-scope") {
-      diff_scope = true;
-    } else if (arg == "--diff-shard") {
-      diff_shard = true;
+    } else if (named != std::end(kDiffChecks)) {
+      // Given several, the earliest row of the table runs.
+      diff = diff == nullptr ? named : std::min(diff, named);
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
@@ -1574,23 +1151,8 @@ int Main(int argc, char** argv) {
     PrintCatalog(json);
     return 0;
   }
-  if (diff_opt) {
-    return RunDiffOptMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_sim) {
-    return RunDiffSimMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_bound) {
-    return RunDiffBoundMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_canon) {
-    return RunDiffCanonMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_scope) {
-    return RunDiffScopeMode(seeds, seed_base, out_dir, json);
-  }
-  if (diff_shard) {
-    return RunDiffShardMode(seeds, seed_base, out_dir, json);
+  if (diff != nullptr) {
+    return RunDiffSeeds(*diff, seeds, seed_base, out_dir, json);
   }
   if (!check::kInvariantsEnabled) {
     std::fprintf(stderr,
