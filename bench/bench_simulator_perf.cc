@@ -14,9 +14,13 @@
 
 #include "bench/experiments.h"
 #include "src/common/rng.h"
+#include "src/core/directory.h"
+#include "src/core/packet_estimator.h"
 #include "src/fluidsim/fluid_simulation.h"
 #include "src/harness/cluster.h"
 #include "src/harness/profiles.h"
+#include "src/lang/analysis.h"
+#include "src/lang/parser.h"
 #include "src/packetsim/network.h"
 #include "src/topology/topology.h"
 
@@ -56,18 +60,44 @@ void BM_PacketSimEventsPerSecond(benchmark::State& state) {
   SingleSwitchParams params;
   params.num_hosts = 32;
   const Topology topo = MakeSingleSwitch(params);
+  int64_t events = 0;
   for (auto _ : state) {
     packetsim::PacketNetwork net(&topo, packetsim::NetworkParams{});
     for (int i = 1; i < 32; ++i) {
       net.StartTcpFlow(topo.hosts()[i], topo.hosts()[0], 256 * kKB, 0);
     }
     net.RunUntilIdle(60);
-    state.SetIterationTime(0);  // Use wall time; report events/s below.
-    benchmark::DoNotOptimize(net.events().processed());
-    state.counters["events"] = static_cast<double>(net.events().processed());
+    events += net.events().processed();
   }
+  state.counters["events_per_s"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PacketSimEventsPerSecond)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// What one binding of the served packet-level search costs: one
+// PacketLevelEstimator::EstimateQuery of a 192 KB shuffle on a 100-host VL2
+// (5 racks of 20), network set-up included. Arg 0 binds both ends in one
+// rack, arg 1 across racks.
+void BM_PacketEstimatorBinding(benchmark::State& state) {
+  Vl2Params params;
+  params.num_racks = 5;
+  params.hosts_per_rack = 20;
+  const Topology topo = MakeVl2(params);
+  TopologyDirectory directory(&topo);
+  auto parsed = lang::Parse("M1 = (" + topo.IpOf(topo.hosts()[0]) + ")\n" +
+                            "R1 = (" + topo.IpOf(topo.hosts()[1]) + ")\n" +
+                            "shuffle M1 -> R1 size 192K\n");
+  auto compiled = lang::CompiledQuery::Compile(parsed.value());
+  const NodeId dst = topo.hosts()[state.range(0) == 0 ? 1 : 25];
+  const Binding binding{{"M1", lang::Endpoint::Address(topo.IpOf(topo.hosts()[0]))},
+                        {"R1", lang::Endpoint::Address(topo.IpOf(dst))}};
+  PacketLevelEstimator estimator(&topo, &directory);
+  for (auto _ : state) {
+    auto estimate = estimator.EstimateQuery(compiled.value(), binding, {});
+    benchmark::DoNotOptimize(estimate.value().makespan);
+  }
+}
+BENCHMARK(BM_PacketEstimatorBinding)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The estimator hot loop (ISSUE 1): run a 3-hop transfer chain, Reset(),
 // repeat on the same simulation — vs constructing a fresh simulation per

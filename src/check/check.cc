@@ -101,6 +101,12 @@ const std::vector<InvariantInfo>& InvariantCatalog() {
        "sequential queries and for disjoint queries admitted concurrently "
        "through the N-slot gate (checked differentially by ctcheck "
        "--diff-shard)"},
+      {"D506", "packetsim",
+       "packet-engine identity: the packet simulator reproduces pinned digests "
+       "of its output — completion times and drop, timeout and pause counters "
+       "for seeded TCP, incast, PFC, multipath and datagram scenarios, 64 "
+       "packet-level shuffle estimates and a Figure 11 web-search point — bit "
+       "for bit (checked by tests/packet_golden_test.cc)"},
       {"I101", "fluidsim",
        "after max-min allocation every unfrozen flow group is bottlenecked at a "
        "saturated resource or pinned at its rate cap"},

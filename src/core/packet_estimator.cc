@@ -93,7 +93,10 @@ Result<Estimate> PacketLevelEstimator::EstimateQuery(const lang::CompiledQuery& 
     }
   }
 
-  net.RunUntilIdle(/*hard_deadline=*/3600.0);
+  // Stop at the last completion: what is still queued then (RTO timers
+  // armed before the final ACK) cannot change the estimate.
+  while (outstanding != 0 && net.events().Step(/*deadline=*/3600.0)) {
+  }
   if (outstanding != 0) {
     return Error{"packet-level simulation did not finish within the deadline"};
   }

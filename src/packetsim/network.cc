@@ -2,91 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <memory>
+#include <utility>
 
 namespace cloudtalk {
 namespace packetsim {
 
 // ---------------- LinkQueue ----------------
 
-void LinkQueue::Enqueue(Packet packet) {
-  if (queue_.size() >= capacity_ && !net_->params().enable_pfc) {
-    ++drops_;
-    return;
+void LinkQueue::Push(uint32_t packet) {
+  if (size_ == ring_.size()) {
+    std::vector<uint32_t> grown(ring_.empty() ? 16 : 2 * ring_.size());
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
   }
-  // Under PFC the sender was paused before overflow; an occasional packet
-  // above the nominal capacity is absorbed (PFC headroom).
-  queue_.push_back(std::move(packet));
-  if (!busy_) {
-    busy_ = true;
-    ServiceNext();
-  }
+  ring_[(head_ + size_) & (ring_.size() - 1)] = packet;
+  ++size_;
 }
-
-void LinkQueue::ServiceNext() {
-  // Serialize the head packet; at finish, hand it to the pipe (propagation
-  // delay) and start on the next one.
-  const Packet& head = queue_.front();
-  const Seconds tx_time = head.size * 8.0 / rate_;
-  net_->events().Schedule(net_->now() + tx_time, [this] { CompleteHead(); });
-}
-
-void LinkQueue::CompleteHead() {
-  if (net_->params().enable_pfc && !net_->NextHopHasRoom(queue_.front())) {
-    // Paused: the downstream port has no room. Hold the head (and, with it,
-    // everything behind — head-of-line blocking) and re-check shortly.
-    ++pause_events_;
-    net_->events().Schedule(net_->now() + net_->params().pfc_poll, [this] { CompleteHead(); });
-    return;
-  }
-  Packet packet = std::move(queue_.front());
-  queue_.pop_front();
-  net_->events().Schedule(net_->now() + delay_,
-                          [this, p = std::move(packet)]() mutable { net_->Forward(std::move(p)); });
-  if (queue_.empty()) {
-    busy_ = false;
-  } else {
-    ServiceNext();
-  }
-}
-
-// ---------------- TCP state ----------------
-
-struct PacketNetwork::TcpSourceState {
-  FlowId id = -1;
-  std::vector<int32_t> route_out;
-  int64_t total_packets = 0;
-  Bytes last_payload = 0;  // Payload of the final packet.
-  FlowCompletionCb on_complete;
-
-  double cwnd = 2;
-  double ssthresh = 1e9;
-  int64_t highest_sent = 0;  // Next fresh sequence number to send.
-  int64_t acked = 0;         // All packets below this are delivered.
-  int dupacks = 0;
-  bool in_recovery = false;
-  int64_t recovery_point = 0;
-  bool done = false;
-
-  // RTT estimation (one outstanding sample at a time).
-  Seconds srtt = 0;
-  Seconds rttvar = 0;
-  Seconds rto = 0;
-  int64_t sample_seq = -1;
-  Seconds sample_time = 0;
-  uint64_t timer_generation = 0;
-};
-
-struct PacketNetwork::TcpSinkState {
-  FlowId id = -1;
-  std::vector<int32_t> route_back;
-  int64_t expected = 0;             // Next in-order packet.
-  std::set<int64_t> out_of_order;   // Buffered future packets.
-};
-
-struct PacketNetwork::DatagramState {
-  DatagramCb on_delivery;
-};
 
 // ---------------- PacketNetwork ----------------
 
@@ -109,50 +44,85 @@ PacketNetwork::PacketNetwork(const Topology* topo, NetworkParams params)
     if (topo->node(link.to).kind == NodeKind::kHost) {
       rate = std::min(rate, topo->host_caps(link.to).nic_down);
     }
-    queues_.push_back(std::make_unique<LinkQueue>(this, rate, link.delay, capacity));
+    queues_.emplace_back(rate, link.delay, capacity);
   }
 }
 
 PacketNetwork::~PacketNetwork() = default;
 
-std::vector<int32_t> PacketNetwork::RouteOf(NodeId src, NodeId dst, uint64_t salt) const {
+void PacketNetwork::OnEvent(const Event& event) {
+  switch (static_cast<EventKind>(event.kind)) {
+    case kLinkDone:
+      CompleteHead(static_cast<int32_t>(event.a));
+      return;
+    case kArrive:
+      Forward(event.a);
+      return;
+    case kTcpStart: {
+      Flow& flow = flows_[event.a - 1];
+      TcpSend(flow);
+      ArmTimer(flow);
+      return;
+    }
+    case kRtoTimeout:
+      OnTimeout(flows_[event.a - 1], event.b);
+      return;
+  }
+}
+
+RouteSlice PacketNetwork::RouteOf(NodeId src, NodeId dst, uint64_t salt) {
   // Fold the network seed in so ECMP placement varies run to run (flow ids
   // alone are deterministic small integers).
   const uint64_t mixed = salt * 0x9e3779b97f4a7c15ULL + (params_.seed << 17);
-  std::vector<int32_t> route;
+  RouteSlice route;
+  route.begin = static_cast<uint32_t>(routes_.size());
   for (LinkId link : topo_->PathBetween(src, dst, mixed)) {
-    route.push_back(link);
+    routes_.push_back(link);
   }
+  route.size = static_cast<uint32_t>(routes_.size()) - route.begin;
   return route;
+}
+
+FlowId PacketNetwork::NewFlow() {
+  flows_.emplace_back();
+  flows_.back().id = static_cast<FlowId>(flows_.size());
+  return flows_.back().id;
+}
+
+uint32_t PacketNetwork::NewPacket(PacketType type, FlowId flow, int64_t seq, Bytes size,
+                                  RouteSlice route) {
+  uint32_t index;
+  if (free_packets_.empty()) {
+    index = static_cast<uint32_t>(packets_.size());
+    packets_.emplace_back();
+  } else {
+    index = free_packets_.back();
+    free_packets_.pop_back();
+  }
+  Packet& packet = packets_[index];
+  packet.type = type;
+  packet.flow = flow;
+  packet.seq = seq;
+  packet.size = size;
+  packet.route = route;
+  packet.hop = 0;
+  return index;
 }
 
 FlowId PacketNetwork::StartTcpFlow(NodeId src, NodeId dst, Bytes bytes, Seconds at,
                                    FlowCompletionCb on_complete) {
-  const FlowId id = next_flow_++;
-  auto source = std::make_unique<TcpSourceState>();
-  source->id = id;
-  source->route_out = RouteOf(src, dst, static_cast<uint64_t>(id));
-  source->cwnd = params_.initial_cwnd;
-  source->rto = params_.min_rto;
-  source->total_packets =
+  const FlowId id = NewFlow();
+  Flow& flow = flows_.back();
+  flow.route_out = RouteOf(src, dst, static_cast<uint64_t>(id));
+  flow.cwnd = params_.initial_cwnd;
+  flow.rto = params_.min_rto;
+  flow.total_packets =
       std::max<int64_t>(1, static_cast<int64_t>(std::ceil(bytes / params_.mss)));
-  const Bytes rem = bytes - (source->total_packets - 1) * params_.mss;
-  source->last_payload = rem > 0 ? rem : params_.mss;
-  source->on_complete = std::move(on_complete);
-
-  auto sink = std::make_unique<TcpSinkState>();
-  sink->id = id;
-  sink->route_back = RouteOf(dst, src, static_cast<uint64_t>(id));
-
-  sources_.emplace(id, std::move(source));
-  sinks_.emplace(id, std::move(sink));
-  events_.Schedule(at, [this, id] {
-    auto it = sources_.find(id);
-    if (it != sources_.end()) {
-      TcpSend(*it->second);
-      ArmTimer(*it->second);
-    }
-  });
+  const Bytes rem = bytes - (flow.total_packets - 1) * params_.mss;
+  flow.last_payload = rem > 0 ? rem : params_.mss;
+  flow.on_complete = std::move(on_complete);
+  flow.route_back = RouteOf(dst, src, static_cast<uint64_t>(id));
+  events_.ScheduleTyped(at, kTcpStart, static_cast<uint32_t>(id));
   return id;
 }
 
@@ -181,109 +151,134 @@ FlowId PacketNetwork::StartMultipathFlow(NodeId src, NodeId dst, Bytes bytes, in
 
 void PacketNetwork::SendDatagram(NodeId src, NodeId dst, Bytes size, Seconds at,
                                  DatagramCb on_delivery) {
-  const FlowId id = next_flow_++;
-  auto state = std::make_unique<DatagramState>();
-  state->on_delivery = std::move(on_delivery);
-  datagrams_.emplace(id, std::move(state));
-  std::vector<int32_t> route = RouteOf(src, dst, static_cast<uint64_t>(id));
-  events_.Schedule(at, [this, id, route = std::move(route), size] {
-    Packet packet;
-    packet.type = PacketType::kDatagram;
-    packet.flow = id;
-    packet.size = size;
-    packet.route = route;
-    packet.hop = 0;
-    Forward(std::move(packet));
-  });
+  const FlowId id = NewFlow();
+  flows_.back().on_delivery = std::move(on_delivery);
+  const RouteSlice route = RouteOf(src, dst, static_cast<uint64_t>(id));
+  events_.ScheduleTyped(at, kArrive, NewPacket(PacketType::kDatagram, id, 0, size, route));
 }
 
-void PacketNetwork::Forward(Packet packet) {
-  if (packet.hop >= static_cast<int32_t>(packet.route.size())) {
-    Deliver(packet);
+void PacketNetwork::Forward(uint32_t index) {
+  Packet& packet = packets_[index];
+  if (packet.hop >= packet.route.size) {
+    Deliver(index);
     return;
   }
-  const int32_t queue_index = packet.route[packet.hop];
+  const int32_t link = routes_[packet.route.begin + packet.hop];
   packet.hop += 1;
-  queues_[queue_index]->Enqueue(std::move(packet));
+  Enqueue(link, index);
 }
 
-void PacketNetwork::Deliver(const Packet& packet) {
+void PacketNetwork::Deliver(uint32_t index) {
+  const Packet packet = packets_[index];
+  free_packets_.push_back(index);
+  Flow& flow = flows_[packet.flow - 1];
   switch (packet.type) {
-    case PacketType::kTcpData: {
-      auto it = sinks_.find(packet.flow);
-      if (it != sinks_.end()) {
-        TcpOnData(*it->second, packet);
-      }
+    case PacketType::kTcpData:
+      TcpOnData(flow, packet.seq);
       return;
-    }
-    case PacketType::kTcpAck: {
-      auto it = sources_.find(packet.flow);
-      if (it != sources_.end()) {
-        TcpOnAck(*it->second, packet.seq);
-      }
+    case PacketType::kTcpAck:
+      TcpOnAck(flow, packet.seq);
       return;
-    }
     case PacketType::kDatagram: {
-      auto it = datagrams_.find(packet.flow);
-      if (it != datagrams_.end()) {
-        if (it->second->on_delivery) {
-          it->second->on_delivery(now());
-        }
-        datagrams_.erase(it);
+      // Moved out: the state is done with, and the callback may send more.
+      DatagramCb on_delivery = std::move(flow.on_delivery);
+      flow.on_delivery = nullptr;
+      if (on_delivery) {
+        on_delivery(now());
       }
       return;
     }
   }
 }
 
-void PacketNetwork::TcpSend(TcpSourceState& src) {
+void PacketNetwork::Enqueue(int32_t link, uint32_t index) {
+  LinkQueue& queue = queues_[link];
+  if (!queue.HasRoom() && !params_.enable_pfc) {
+    ++queue.drops_;
+    free_packets_.push_back(index);
+    return;
+  }
+  // Under PFC the sender was paused before overflow; an occasional packet
+  // above the nominal capacity is absorbed (PFC headroom).
+  queue.Push(index);
+  if (!queue.busy_) {
+    queue.busy_ = true;
+    ServiceNext(link);
+  }
+}
+
+void PacketNetwork::ServiceNext(int32_t link) {
+  // Serialize the head packet; at finish, hand it to the pipe (propagation
+  // delay) and start on the next one.
+  const LinkQueue& queue = queues_[link];
+  const Seconds tx_time = packets_[queue.front()].size * 8.0 / queue.rate_;
+  events_.ScheduleTyped(now() + tx_time, kLinkDone, static_cast<uint32_t>(link));
+}
+
+void PacketNetwork::CompleteHead(int32_t link) {
+  LinkQueue& queue = queues_[link];
+  if (params_.enable_pfc) {
+    const Packet& head = packets_[queue.front()];
+    if (head.hop < head.route.size &&
+        !queues_[routes_[head.route.begin + head.hop]].HasRoom()) {
+      // Paused: the downstream port has no room. Hold the head (and, with
+      // it, everything behind — head-of-line blocking) and re-check shortly.
+      ++queue.pause_events_;
+      events_.ScheduleTyped(now() + params_.pfc_poll, kLinkDone, static_cast<uint32_t>(link));
+      return;
+    }
+  }
+  events_.ScheduleTyped(now() + queue.delay_, kArrive, queue.Pop());
+  if (queue.size_ == 0) {
+    queue.busy_ = false;
+  } else {
+    ServiceNext(link);
+  }
+}
+
+void PacketNetwork::TcpSendOne(Flow& flow, int64_t seq) {
+  const Bytes payload = seq == flow.total_packets - 1 ? flow.last_payload : params_.mss;
+  Forward(NewPacket(PacketType::kTcpData, flow.id, seq, payload + kTcpHeaderBytes,
+                    flow.route_out));
+}
+
+void PacketNetwork::TcpSend(Flow& src) {
   src.cwnd = std::min(src.cwnd, params_.max_cwnd);
   while (!src.done && src.highest_sent < src.total_packets &&
          src.highest_sent - src.acked < static_cast<int64_t>(src.cwnd)) {
     // Local backpressure: a real sender blocks when its NIC queue is full
     // instead of dropping its own packets; the ACK clock resumes it.
-    if (!src.route_out.empty() && !queues_[src.route_out.front()]->HasRoom()) {
+    if (src.route_out.size > 0 && !queues_[routes_[src.route_out.begin]].HasRoom()) {
       break;
     }
-    Packet packet;
-    packet.type = PacketType::kTcpData;
-    packet.flow = src.id;
-    packet.seq = src.highest_sent;
-    const Bytes payload =
-        packet.seq == src.total_packets - 1 ? src.last_payload : params_.mss;
-    packet.size = payload + kTcpHeaderBytes;
-    packet.route = src.route_out;
-    packet.hop = 0;
+    const int64_t seq = src.highest_sent;
     if (src.sample_seq < 0) {
-      src.sample_seq = packet.seq;
+      src.sample_seq = seq;
       src.sample_time = now();
     }
     src.highest_sent += 1;
-    Forward(std::move(packet));
+    TcpSendOne(src, seq);
   }
 }
 
-void PacketNetwork::TcpOnData(TcpSinkState& sink, const Packet& packet) {
-  if (packet.seq == sink.expected) {
+void PacketNetwork::TcpOnData(Flow& sink, int64_t seq) {
+  if (seq == sink.expected) {
     sink.expected += 1;
-    while (!sink.out_of_order.empty() && *sink.out_of_order.begin() == sink.expected) {
-      sink.out_of_order.erase(sink.out_of_order.begin());
+    while (sink.expected < static_cast<int64_t>(sink.out_of_order.size()) &&
+           sink.out_of_order[sink.expected]) {
       sink.expected += 1;
     }
-  } else if (packet.seq > sink.expected) {
-    sink.out_of_order.insert(packet.seq);
+  } else if (seq > sink.expected) {
+    if (sink.out_of_order.empty()) {
+      sink.out_of_order.resize(sink.total_packets);
+    }
+    sink.out_of_order[seq] = true;
   }
-  Packet ack;
-  ack.type = PacketType::kTcpAck;
-  ack.flow = sink.id;
-  ack.seq = sink.expected;
-  ack.size = kTcpHeaderBytes;
-  ack.route = sink.route_back;
-  ack.hop = 0;
-  Forward(std::move(ack));
+  Forward(NewPacket(PacketType::kTcpAck, sink.id, sink.expected, kTcpHeaderBytes,
+                    sink.route_back));
 }
 
-void PacketNetwork::TcpOnAck(TcpSourceState& src, int64_t ack) {
+void PacketNetwork::TcpOnAck(Flow& src, int64_t ack) {
   if (src.done) {
     return;
   }
@@ -311,19 +306,10 @@ void PacketNetwork::TcpOnAck(TcpSourceState& src, int64_t ack) {
       // NewReno partial ACK: another packet in the pre-loss window is also
       // missing; retransmit the next hole immediately instead of waiting
       // for an RTO.
-      Packet packet;
-      packet.type = PacketType::kTcpData;
-      packet.flow = src.id;
-      packet.seq = src.acked;
-      const Bytes payload =
-          packet.seq == src.total_packets - 1 ? src.last_payload : params_.mss;
-      packet.size = payload + kTcpHeaderBytes;
-      packet.route = src.route_out;
-      packet.hop = 0;
       if (src.sample_seq >= src.acked) {
         src.sample_seq = -1;  // Sample would span a retransmission.
       }
-      Forward(std::move(packet));
+      TcpSendOne(src, src.acked);
     } else {
       if (src.cwnd < src.ssthresh) {
         src.cwnd += newly;  // Slow start.
@@ -362,40 +348,25 @@ void PacketNetwork::TcpOnAck(TcpSourceState& src, int64_t ack) {
     if (src.sample_seq >= src.acked) {
       src.sample_seq = -1;  // Sample packet is being retransmitted.
     }
-    Packet packet;
-    packet.type = PacketType::kTcpData;
-    packet.flow = src.id;
-    packet.seq = src.acked;
-    const Bytes payload =
-        packet.seq == src.total_packets - 1 ? src.last_payload : params_.mss;
-    packet.size = payload + kTcpHeaderBytes;
-    packet.route = src.route_out;
-    packet.hop = 0;
-    Forward(std::move(packet));
+    TcpSendOne(src, src.acked);
     ArmTimer(src);
   }
 }
 
-void PacketNetwork::ArmTimer(TcpSourceState& src) {
+void PacketNetwork::ArmTimer(Flow& src) {
   src.timer_generation += 1;
   const uint64_t generation = src.timer_generation;
   const double jitter =
       params_.rto_jitter > 0 ? rng_.Uniform(-params_.rto_jitter, params_.rto_jitter) : 0.0;
-  events_.Schedule(now() + src.rto * (1.0 + jitter), [this, id = src.id, generation] {
-    OnTimeout(id, generation);
-  });
+  events_.ScheduleTyped(now() + src.rto * (1.0 + jitter), kRtoTimeout,
+                        static_cast<uint32_t>(src.id), generation);
 }
 
-void PacketNetwork::OnTimeout(FlowId flow, uint64_t generation) {
-  auto it = sources_.find(flow);
-  if (it == sources_.end()) {
-    return;
-  }
-  TcpSourceState& src = *it->second;
+void PacketNetwork::OnTimeout(Flow& src, uint64_t generation) {
   if (src.done || generation != src.timer_generation || src.acked >= src.total_packets) {
     return;
   }
-  NoteTimeout();
+  ++total_timeouts_;
   // Go-back-N: collapse the window and resend from the hole.
   src.ssthresh = std::max(2.0, src.cwnd / 2.0);
   src.cwnd = 1;
@@ -408,25 +379,18 @@ void PacketNetwork::OnTimeout(FlowId flow, uint64_t generation) {
   ArmTimer(src);
 }
 
-bool PacketNetwork::NextHopHasRoom(const Packet& packet) const {
-  if (packet.hop >= static_cast<int32_t>(packet.route.size())) {
-    return true;  // Endpoint delivery is always possible.
-  }
-  return queues_[packet.route[packet.hop]]->HasRoom();
-}
-
 int64_t PacketNetwork::total_drops() const {
   int64_t drops = 0;
-  for (const auto& queue : queues_) {
-    drops += queue->drops();
+  for (const LinkQueue& queue : queues_) {
+    drops += queue.drops();
   }
   return drops;
 }
 
 int64_t PacketNetwork::total_pauses() const {
   int64_t pauses = 0;
-  for (const auto& queue : queues_) {
-    pauses += queue->pause_events();
+  for (const LinkQueue& queue : queues_) {
+    pauses += queue.pause_events();
   }
   return pauses;
 }

@@ -12,8 +12,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -47,39 +45,44 @@ struct NetworkParams {
   Seconds pfc_poll = 5 * kMicrosecond;  // Pause re-check interval.
 };
 
-class PacketNetwork;
-
-// One directed link: drop-tail buffer + serialization + propagation.
+// One directed link: drop-tail buffer + serialization + propagation. The
+// buffer is a ring of packet-pool indices that allocates on its first packet
+// and doubles when full, so it holds PFC headroom above `capacity` too.
 class LinkQueue {
  public:
-  LinkQueue(PacketNetwork* net, Bps rate, Seconds delay, int capacity_packets)
-      : net_(net), rate_(rate), delay_(delay), capacity_(capacity_packets) {}
-
-  void Enqueue(Packet packet);
+  LinkQueue(Bps rate, Seconds delay, int capacity_packets)
+      : rate_(rate), delay_(delay), capacity_(static_cast<size_t>(capacity_packets)) {}
 
   int64_t drops() const { return drops_; }
-  size_t depth() const { return queue_.size(); }
-  bool HasRoom() const { return queue_.size() < capacity_; }
+  size_t depth() const { return size_; }
+  bool HasRoom() const { return size_ < capacity_; }
   Bps rate() const { return rate_; }
   int64_t pause_events() const { return pause_events_; }
 
  private:
-  void ServiceNext();
-  // After serialization: hand the head packet to the pipe, or — under PFC —
-  // pause until the next hop has room.
-  void CompleteHead();
+  friend class PacketNetwork;
 
-  PacketNetwork* net_;
+  uint32_t front() const { return ring_[head_]; }
+  void Push(uint32_t packet);
+  uint32_t Pop() {
+    const uint32_t packet = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    return packet;
+  }
+
   Bps rate_;
   Seconds delay_;
   size_t capacity_;
-  std::deque<Packet> queue_;
+  std::vector<uint32_t> ring_;  // Power-of-two size, or empty.
+  size_t head_ = 0;
+  size_t size_ = 0;
   bool busy_ = false;
   int64_t drops_ = 0;
   int64_t pause_events_ = 0;
 };
 
-class PacketNetwork {
+class PacketNetwork final : private EventHandler {
  public:
   using FlowCompletionCb = std::function<void(FlowId, Seconds)>;
   using DatagramCb = std::function<void(Seconds)>;
@@ -117,34 +120,76 @@ class PacketNetwork {
   int64_t total_timeouts() const { return total_timeouts_; }
   int64_t total_pauses() const;
 
-  // --- Internal plumbing (used by LinkQueue and the TCP machinery) ---
-  void Forward(Packet packet);           // Advance one hop or deliver.
-  void Deliver(const Packet& packet);    // Packet reached its final node.
-  void NoteTimeout() { ++total_timeouts_; }
-  // True when the packet's next hop (if any) can accept it (PFC check).
-  bool NextHopHasRoom(const Packet& packet) const;
-
  private:
-  friend class TcpSource;
-  struct TcpSourceState;
-  struct TcpSinkState;
-  struct DatagramState;
+  // Typed event kinds (EventQueue::kCallback is 0).
+  enum EventKind : uint32_t {
+    kLinkDone = 1,  // a = link: head packet serialized, or a PFC re-poll.
+    kArrive,        // a = packet: it left a link's pipe (or is sent now).
+    kTcpStart,      // a = flow.
+    kRtoTimeout,    // a = flow, b = timer generation.
+  };
+  // A TCP flow's source and sink state, or a datagram's delivery callback.
+  struct Flow {
+    FlowId id = -1;
+    // Source.
+    RouteSlice route_out;
+    int64_t total_packets = 0;
+    Bytes last_payload = 0;  // Payload of the final packet.
+    FlowCompletionCb on_complete;
+    double cwnd = 2;
+    double ssthresh = 1e9;
+    int64_t highest_sent = 0;  // Next fresh sequence number to send.
+    int64_t acked = 0;         // All packets below this are delivered.
+    int dupacks = 0;
+    bool in_recovery = false;
+    int64_t recovery_point = 0;
+    bool done = false;
+    // RTT estimation (one outstanding sample at a time).
+    Seconds srtt = 0;
+    Seconds rttvar = 0;
+    Seconds rto = 0;
+    int64_t sample_seq = -1;
+    Seconds sample_time = 0;
+    uint64_t timer_generation = 0;
+    // Sink.
+    RouteSlice route_back;
+    int64_t expected = 0;  // Next in-order packet.
+    // Buffered future packets, by sequence number; sized at the first gap.
+    std::vector<bool> out_of_order;
+    // Datagram.
+    DatagramCb on_delivery;
+  };
 
-  std::vector<int32_t> RouteOf(NodeId src, NodeId dst, uint64_t salt) const;
-  void TcpSend(TcpSourceState& src);      // Push packets while cwnd allows.
-  void TcpOnAck(TcpSourceState& src, int64_t ack);
-  void TcpOnData(TcpSinkState& sink, const Packet& packet);
-  void ArmTimer(TcpSourceState& src);
-  void OnTimeout(FlowId flow, uint64_t generation);
+  void OnEvent(const Event& event) override;
+  RouteSlice RouteOf(NodeId src, NodeId dst, uint64_t salt);
+  FlowId NewFlow();
+  uint32_t NewPacket(PacketType type, FlowId flow, int64_t seq, Bytes size, RouteSlice route);
+
+  void Forward(uint32_t packet);  // Advance one hop or deliver.
+  void Deliver(uint32_t packet);  // The packet reached its final node.
+  void Enqueue(int32_t link, uint32_t packet);
+  void ServiceNext(int32_t link);
+  // After serialization: hand the head packet to the pipe, or — under PFC —
+  // pause until the next hop has room.
+  void CompleteHead(int32_t link);
+
+  void TcpSend(Flow& flow);  // Push packets while cwnd allows.
+  void TcpSendOne(Flow& flow, int64_t seq);
+  void TcpOnAck(Flow& flow, int64_t ack);
+  void TcpOnData(Flow& flow, int64_t seq);
+  void ArmTimer(Flow& flow);
+  void OnTimeout(Flow& flow, uint64_t generation);
 
   const Topology* topo_;
   NetworkParams params_;
-  EventQueue events_;
-  std::vector<std::unique_ptr<LinkQueue>> queues_;  // Indexed by LinkId.
-  std::unordered_map<FlowId, std::unique_ptr<TcpSourceState>> sources_;
-  std::unordered_map<FlowId, std::unique_ptr<TcpSinkState>> sinks_;
-  std::unordered_map<FlowId, std::unique_ptr<DatagramState>> datagrams_;
-  FlowId next_flow_ = 1;
+  EventQueue events_{this};
+  std::vector<LinkQueue> queues_;  // Indexed by LinkId.
+  std::vector<int32_t> routes_;    // Every route's link ids; packets hold slices.
+  std::vector<Packet> packets_;    // In-flight packet pool.
+  std::vector<uint32_t> free_packets_;
+  // Indexed by FlowId - 1. A deque so that a flow's state stays put while a
+  // completion callback starts new flows.
+  std::deque<Flow> flows_;
   int64_t total_timeouts_ = 0;
   Rng rng_;
 };

@@ -1,13 +1,13 @@
 // Packet representation for the packet-level simulator.
 //
-// Packets are small value types; a packet carries its source route (the
-// sequence of directed-link queues it will traverse) plus TCP metadata.
+// Packets are small PODs that own no memory: a packet names its source route
+// (the sequence of directed-link queues it will traverse) as a slice of the
+// network's route table, where each flow's routes are written once when the
+// flow starts, plus TCP metadata.
 #ifndef CLOUDTALK_SRC_PACKETSIM_PACKET_H_
 #define CLOUDTALK_SRC_PACKETSIM_PACKET_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "src/common/units.h"
 
@@ -25,14 +25,19 @@ enum class PacketType : uint8_t {
 inline constexpr Bytes kTcpHeaderBytes = 40;
 inline constexpr Bytes kDefaultMss = 1460;  // Payload bytes per data packet.
 
+// `size` link ids starting at `begin` in the network's route table.
+struct RouteSlice {
+  uint32_t begin = 0;
+  uint32_t size = 0;
+};
+
 struct Packet {
   PacketType type = PacketType::kTcpData;
   FlowId flow = -1;
   int64_t seq = 0;      // Data: packet number. ACK: cumulative ack (next expected).
   Bytes size = 0;       // Wire size including headers.
-  // Route as indices into the network's queue table, plus current position.
-  std::vector<int32_t> route;
-  int32_t hop = 0;
+  RouteSlice route;
+  uint32_t hop = 0;     // Position in the route: the next link to enter.
 };
 
 }  // namespace packetsim

@@ -2,8 +2,14 @@
 // incast, and the packet-level query estimator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <queue>
+#include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/directory.h"
 #include "src/core/packet_estimator.h"
 #include "src/lang/analysis.h"
@@ -45,6 +51,114 @@ TEST(EventQueueTest, PastEventsClampToNow) {
   queue.Schedule(1.0, [&] { fired = true; });
   queue.RunUntil(5.0);
   EXPECT_TRUE(fired);
+}
+
+TEST(EventQueueTest, ProcessedCountsEventsThatRan) {
+  EventQueue queue;
+  queue.Schedule(0.1, [] {});
+  queue.Schedule(0.2, [] {});
+  queue.Schedule(0.3, [] {});
+  queue.RunUntil(0.2);
+  EXPECT_EQ(queue.processed(), 2);
+  EXPECT_EQ(queue.pending(), 1u);
+}
+
+// Randomized schedule / run sequences against a reference priority queue
+// ordered by (at, seq). Times sit on a coarse grid so many events tie;
+// some land in the past and must clamp to now(); handlers schedule more
+// events while being dispatched; typed and callback events mix.
+class EventQueueModel final : public packetsim::EventHandler {
+ public:
+  explicit EventQueueModel(uint64_t seed) : rng_(seed), queue_(this) {}
+
+  void Run() {
+    for (int round = 0; round < 300; ++round) {
+      const int64_t action = rng_.UniformInt(0, 9);
+      if (action < 4) {
+        for (int64_t n = rng_.UniformInt(1, 5); n > 0; --n) {
+          Schedule();
+        }
+      } else if (action < 7) {
+        const Seconds t = queue_.now() + 0.25 * static_cast<double>(rng_.UniformInt(0, 6));
+        queue_.RunUntil(t);
+        EXPECT_EQ(queue_.now(), t);
+        EXPECT_TRUE(reference_.empty() || reference_.top().at > t);
+        now_ = t;
+      } else if (action < 9) {
+        const Seconds deadline =
+            queue_.now() + 0.25 * static_cast<double>(rng_.UniformInt(0, 2));
+        const bool due = !reference_.empty() && reference_.top().at <= deadline;
+        EXPECT_EQ(queue_.Step(deadline), due);
+      } else {
+        EXPECT_EQ(queue_.pending(), reference_.size());
+      }
+    }
+    queue_.RunUntilIdle();
+    EXPECT_TRUE(reference_.empty());
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_EQ(queue_.processed(), ran_);
+    EXPECT_GT(ran_, 100);
+  }
+
+  void OnEvent(const packetsim::Event& event) override {
+    EXPECT_EQ(event.kind, kTyped);
+    EXPECT_EQ(event.b, event.a * 7u);
+    Ran(static_cast<int>(event.a));
+  }
+
+ private:
+  static constexpr uint32_t kTyped = 1;
+
+  struct Ref {
+    Seconds at;
+    uint64_t seq;
+    int id;
+    bool operator>(const Ref& other) const {
+      return at != other.at ? at > other.at : seq > other.seq;
+    }
+  };
+
+  void Schedule() {
+    const Seconds step = 0.25 * static_cast<double>(rng_.UniformInt(0, 8));
+    const Seconds at = rng_.Bernoulli(0.2) ? queue_.now() - 0.25 - step : queue_.now() + step;
+    const int id = next_id_++;
+    reference_.push(Ref{at < now_ ? now_ : at, next_seq_++, id});
+    if (rng_.Bernoulli(0.5)) {
+      queue_.ScheduleTyped(at, kTyped, static_cast<uint32_t>(id), static_cast<uint64_t>(id) * 7);
+    } else {
+      queue_.Schedule(at, [this, id] { Ran(id); });
+    }
+  }
+
+  void Ran(int id) {
+    ASSERT_FALSE(reference_.empty());
+    const Ref expected = reference_.top();
+    reference_.pop();
+    EXPECT_EQ(id, expected.id);
+    EXPECT_EQ(queue_.now(), expected.at);
+    now_ = expected.at;
+    ++ran_;
+    if (rng_.Bernoulli(0.3)) {
+      for (int64_t n = rng_.UniformInt(1, 2); n > 0; --n) {
+        Schedule();
+      }
+    }
+  }
+
+  Rng rng_;
+  EventQueue queue_;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> reference_;
+  Seconds now_ = 0;
+  uint64_t next_seq_ = 0;
+  int next_id_ = 0;
+  int64_t ran_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceOrder) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueueModel(seed).Run();
+  }
 }
 
 TEST(PacketNetworkTest, SingleFlowApproachesLineRate) {
@@ -344,6 +458,71 @@ TEST(PacketEstimatorTest, StartTimesDelayFlows) {
   ASSERT_TRUE(estimate.ok());
   EXPECT_GT(estimate.value().makespan, 2.0);
   EXPECT_LT(estimate.value().makespan, 2.1);
+}
+
+TEST(PacketEstimatorTest, FlowsPastTheDeadlineAreAnError) {
+  // The estimator simulates at most 3600 s; a flow that cannot finish by
+  // then yields an error, not a partial makespan.
+  const Topology topo = MakeSingleSwitch(Cluster(3));
+  TopologyDirectory directory(&topo);
+  directory.AddAlias("a", topo.hosts()[0]);
+  directory.AddAlias("b", topo.hosts()[1]);
+  auto query = lang::Parse("f1 a -> b size 100KB\nf2 b -> a size 100KB start 4000\n");
+  ASSERT_TRUE(query.ok());
+  auto compiled = lang::CompiledQuery::Compile(query.value());
+  ASSERT_TRUE(compiled.ok());
+  PacketLevelEstimator estimator(&topo, &directory);
+  EXPECT_FALSE(estimator.EstimateQuery(compiled.value(), {}, {}).ok());
+}
+
+TEST(PacketEstimatorTest, ConcurrentCallsMatchSerial) {
+  // The server shares one estimator across concurrent Answer()s: four
+  // threads estimating at once must get bit-equal results to serial calls.
+  Vl2Params params;
+  params.num_racks = 5;
+  params.hosts_per_rack = 20;
+  const Topology topo = MakeVl2(params);
+  TopologyDirectory directory(&topo);
+  auto query = lang::Parse("M1 = (" + topo.IpOf(topo.hosts()[0]) + ")\nR1 = (" +
+                           topo.IpOf(topo.hosts()[1]) + ")\nshuffle M1 -> R1 size 192K\n");
+  ASSERT_TRUE(query.ok());
+  auto compiled = lang::CompiledQuery::Compile(query.value());
+  ASSERT_TRUE(compiled.ok());
+  PacketLevelEstimator estimator(&topo, &directory);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 6;
+  auto binding = [&](int thread, int i) {
+    const int src = (thread * 31 + i * 7) % 100;
+    const int dst = (src + 1 + (thread * 13 + i * 19) % 99) % 100;
+    return Binding{{"M1", lang::Endpoint::Address(topo.IpOf(topo.hosts()[src]))},
+                   {"R1", lang::Endpoint::Address(topo.IpOf(topo.hosts()[dst]))}};
+  };
+  auto estimate = [&](int thread, int i) {
+    auto result = estimator.EstimateQuery(compiled.value(), binding(thread, i), {});
+    return result.ok() ? result.value() : Estimate{};
+  };
+  std::vector<std::vector<Estimate>> concurrent(kThreads, std::vector<Estimate>(kPerThread));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        concurrent[t][i] = estimate(t, i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const Estimate serial = estimate(t, i);
+      EXPECT_GT(serial.makespan, 0);
+      EXPECT_EQ(std::memcmp(&serial.makespan, &concurrent[t][i].makespan, sizeof(Seconds)), 0);
+      EXPECT_EQ(std::memcmp(&serial.aggregate_throughput, &concurrent[t][i].aggregate_throughput,
+                            sizeof(Bps)),
+                0);
+    }
+  }
 }
 
 TEST(PacketNetworkTest, DatagramDroppedOnFullQueueIsSilent) {
